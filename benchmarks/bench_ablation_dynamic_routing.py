@@ -40,9 +40,9 @@ def run_ablation(nbytes: int = 16 * MiB, seed: int = 2014):
     # Regime 1: the paper's structured coupling (32 v 32 corner groups).
     layout = corner_groups(system.topology, 32)
     coupled = pairwise_transfers(layout, nbytes)
-    c_det = run_transfer(system, coupled, mode="direct", batch_tol=0.02)
-    c_dyn = run_dynamic_transfer(system, coupled, seed=seed, batch_tol=0.02)
-    c_prox = run_transfer(system, coupled, mode="proxy", batch_tol=0.02)
+    c_det = run_transfer(system, coupled, mode="direct")
+    c_dyn = run_dynamic_transfer(system, coupled, seed=seed)
+    c_prox = run_transfer(system, coupled, mode="proxy")
 
     # Regime 2: unstructured random sparse pairs.
     rng = np.random.default_rng(seed)
@@ -51,9 +51,9 @@ def run_ablation(nbytes: int = 16 * MiB, seed: int = 2014):
         TransferSpec(int(nodes[2 * i]), int(nodes[2 * i + 1]), nbytes)
         for i in range(24)
     ]
-    r_det = run_transfer(system, random_specs, mode="direct", batch_tol=0.02)
-    r_dyn = run_dynamic_transfer(system, random_specs, seed=seed, batch_tol=0.02)
-    r_prox = run_transfer(system, random_specs, mode="proxy", batch_tol=0.02)
+    r_det = run_transfer(system, random_specs, mode="direct")
+    r_dyn = run_dynamic_transfer(system, random_specs, seed=seed)
+    r_prox = run_transfer(system, random_specs, mode="proxy")
 
     regimes = ["coupled groups", "random pairs"]
     return FigureResult(

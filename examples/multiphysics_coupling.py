@@ -36,10 +36,10 @@ def main() -> None:
     print(f"{'boundary size':>14} {'strategy':>10} {'throughput/pair':>16} {'vs direct':>10}")
     for nbytes in sweep_sizes(64 * KiB, 16 * 1024 * KiB, factor=4):
         specs = pairwise_transfers(layout, nbytes)
-        auto = planner.execute(specs, batch_tol=0.02)
+        auto = planner.execute(specs)
         from repro.core import run_transfer
 
-        direct = run_transfer(system, specs, mode="direct", batch_tol=0.02)
+        direct = run_transfer(system, specs, mode="direct")
         strategy = auto.mode_used[layout.pairs()[0]]
         per_pair = auto.throughput / layout.group_size
         gain = auto.throughput / direct.throughput

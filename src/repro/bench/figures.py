@@ -7,7 +7,10 @@ carry the same quantities the paper plots.  Figures 1–4 are architecture
 diagrams, not measurements, and have no experiment.
 
 All experiments accept scaling knobs so the test suite can run reduced
-versions; the defaults match the paper's configurations.
+versions; the defaults match the paper's configurations.  The transfer
+figures (5–7 and the model check) always share bandwidth exactly
+max-min fair; only the I/O figures (10, 11) take the simulator's
+approximate-fairness knobs (``batch_tol``/``fair_tol``/``lazy_frac``).
 """
 
 from __future__ import annotations
@@ -52,7 +55,6 @@ def fig5_p2p_proxies(
     *,
     sizes: "Sequence[int] | None" = None,
     params: NetworkParams = MIRA_PARAMS,
-    batch_tol: float = 0.0,
 ) -> FigureResult:
     """Figure 5: point-to-point PUT with and without 4 proxies.
 
@@ -68,16 +70,10 @@ def fig5_p2p_proxies(
     direct_y, proxy_y = [], []
     for nbytes in sizes:
         spec = _spec(src, dst, nbytes)
-        direct_y.append(
-            run_transfer(system, [spec], mode="direct", batch_tol=batch_tol).throughput
-        )
+        direct_y.append(run_transfer(system, [spec], mode="direct").throughput)
         proxy_y.append(
             run_transfer(
-                system,
-                [spec],
-                mode="proxy",
-                assignments={(src, dst): assignment},
-                batch_tol=batch_tol,
+                system, [spec], mode="proxy", assignments={(src, dst): assignment}
             ).throughput
         )
     fig = FigureResult(
@@ -109,7 +105,6 @@ def fig6_group_proxies(
     nnodes: int = 2048,
     group_size: int = 256,
     params: NetworkParams = MIRA_PARAMS,
-    batch_tol: float = 0.02,
 ) -> FigureResult:
     """Figure 6: transfers between two groups of 256 nodes in a 2K-node
     ``4x4x4x16x2`` partition, with and without (3 groups of) proxies.
@@ -125,10 +120,8 @@ def fig6_group_proxies(
     direct_y, proxy_y = [], []
     for nbytes in sizes:
         specs = pairwise_transfers(layout, nbytes)
-        d = run_transfer(system, specs, mode="direct", batch_tol=batch_tol)
-        p = run_transfer(
-            system, specs, mode="proxy", assignments=plan.assignments, batch_tol=batch_tol
-        )
+        d = run_transfer(system, specs, mode="direct")
+        p = run_transfer(system, specs, mode="proxy", assignments=plan.assignments)
         direct_y.append(d.throughput / layout.group_size)
         proxy_y.append(p.throughput / layout.group_size)
     kmin = plan.k_min
@@ -162,7 +155,6 @@ def fig7_proxy_count(
     group_size: int = 32,
     proxy_counts: Sequence[int] = (0, 2, 3, 4, 5),
     params: NetworkParams = MIRA_PARAMS,
-    batch_tol: float = 0.02,
 ) -> FigureResult:
     """Figure 7: throughput vs number of proxy groups (2 groups of 32
     nodes, 512-node ``4x4x4x4x2`` partition).
@@ -185,7 +177,7 @@ def fig7_proxy_count(
         if k == 0:
             for nbytes in sizes:
                 specs = pairwise_transfers(layout, nbytes)
-                out = run_transfer(system, specs, mode="direct", batch_tol=batch_tol)
+                out = run_transfer(system, specs, mode="direct")
                 ys.append(out.throughput / layout.group_size)
             series.append(Series("no proxies", sizes, ys))
             continue
@@ -198,12 +190,7 @@ def fig7_proxy_count(
         for nbytes in sizes:
             specs = pairwise_transfers(layout, nbytes)
             out = run_transfer(
-                system,
-                specs,
-                mode="proxy",
-                assignments=forced,
-                min_proxies=2,
-                batch_tol=batch_tol,
+                system, specs, mode="proxy", assignments=forced, min_proxies=2
             )
             ys.append(out.throughput / layout.group_size)
         series.append(Series(f"{k} proxy groups", sizes, ys))

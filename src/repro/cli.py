@@ -319,11 +319,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="reuse intact journaled results; rerun only the remainder",
     )
     ba.add_argument(
-        "--serial", action="store_true",
-        help="disable the batched-simulate fast path for transfer "
-        "scenarios (every request goes through the service)",
-    )
-    ba.add_argument(
         "--make-demo", type=int, default=None, metavar="N",
         help="write an N-scenario demo campaign to --campaign and exit",
     )
@@ -466,6 +461,7 @@ def _cmd_transfer(args) -> int:
 
 def _cmd_io(args) -> int:
     from repro.core import run_io_movement
+    from repro.core.iomove import IO_TOLERANCES
     from repro.core.ioread import run_io_read
     from repro.machine import mira_system
     from repro.torus.mapping import RankMapping
@@ -490,10 +486,7 @@ def _cmd_io(args) -> int:
     runner = run_io_read if args.read else run_io_movement
     results = {}
     for method in methods:
-        out = runner(
-            system, sizes, method=method, mapping=mapping,
-            batch_tol=0.05, fair_tol=0.02,
-        )
+        out = runner(system, sizes, method=method, mapping=mapping, **IO_TOLERANCES)
         results[method] = out
         log.info(
             f"  {method:>15}: {format_rate(out.throughput)} "
@@ -729,6 +722,7 @@ def _trace_scenario_specs(args, system):
 def _cmd_trace(args) -> int:
     """Run one scenario under tracer + probe and export the timeline."""
     from repro.core import run_io_movement, run_transfer
+    from repro.core.iomove import IO_TOLERANCES
     from repro.machine import mira_system
     from repro.network.flowsim import CapacityEvent
     from repro.obs import (
@@ -782,7 +776,7 @@ def _cmd_trace(args) -> int:
         sizes = pareto_pattern(mapping.nranks, seed=args.seed)
         est = run_io_movement(
             system, sizes, method="topology_aware", mapping=mapping,
-            batch_tol=0.05, fair_tol=0.02,
+            **IO_TOLERANCES,
         )
         probe = TimeSeriesProbe(interval=est.makespan / args.samples)
         log.info(
@@ -792,7 +786,7 @@ def _cmd_trace(args) -> int:
         with use_tracer(tracer), use_registry(registry):
             out = run_io_movement(
                 system, sizes, method="topology_aware", mapping=mapping,
-                batch_tol=0.05, fair_tol=0.02, probe=probe,
+                probe=probe, **IO_TOLERANCES,
             )
         log.info(f"  throughput: {format_rate(out.throughput)}")
     else:  # faults
@@ -1085,7 +1079,6 @@ def _cmd_batch(args) -> int:
         resume=args.resume,
         config=_service_config(args),
         progress=log.info,
-        batched=not args.serial,
     )
     _dump_metrics(args)
     counts = summary["counts"]

@@ -34,8 +34,6 @@ def run_dynamic_transfer(
     zone: ZoneId = ZoneId.DYNAMIC_UNRESTRICTED,
     nsplits: int = 4,
     seed=2014,
-    batch_tol: float = 0.0,
-    fair_tol: float = 0.0,
 ) -> TransferOutcome:
     """Execute transfers with zone-0/1 dynamic routing (spray model).
 
@@ -49,7 +47,7 @@ def run_dynamic_transfer(
         raise ConfigError(f"nsplits must be >= 1, got {nsplits}")
     router = DynamicRouter(system.topology, zone=zone, seed=seed)
     comm = SimComm(system)
-    prog = FlowProgram(comm, batch_tol=batch_tol, fair_tol=fair_tol)
+    prog = FlowProgram(comm)
     params = system.params
     sub_cap = min(params.stream_cap, params.mem_bw) / nsplits
 

@@ -17,7 +17,8 @@ paper's Figures 10–11 plot.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from types import MappingProxyType
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -42,6 +43,14 @@ from repro.obs.metrics import TimeSeriesProbe, get_registry
 from repro.obs.trace import get_tracer
 from repro.torus.mapping import RankMapping
 from repro.util.validation import ConfigError
+
+#: Approximate-fairness setting of the interactive I/O entry points
+#: (``repro io``, ``repro trace io`` and the service's ``io`` kind),
+#: passed as ``run_io_movement(..., **IO_TOLERANCES)``.  The service's
+#: ``io`` payload checksums are recorded with exactly these values.
+IO_TOLERANCES: "Mapping[str, float]" = MappingProxyType(
+    {"batch_tol": 0.05, "fair_tol": 0.02}
+)
 
 
 @dataclass

@@ -274,8 +274,6 @@ def run_transfer(
     max_proxies: "int | None" = None,
     min_proxies: int = TransferModel.MIN_BENEFICIAL_PROXIES,
     max_offset: int = 3,
-    batch_tol: float = 0.0,
-    fair_tol: float = 0.0,
     capacity_fn=None,
     events=None,
     probe: "TimeSeriesProbe | None" = None,
@@ -311,13 +309,7 @@ def run_transfer(
         "transfer", cat="transfer", mode=mode, n_specs=len(specs), total_bytes=total
     ) as span:
         comm = SimComm(system)
-        prog = FlowProgram(
-            comm,
-            batch_tol=batch_tol,
-            fair_tol=fair_tol,
-            capacity_fn=capacity_fn,
-            probe=probe,
-        )
+        prog = FlowProgram(comm, capacity_fn=capacity_fn, probe=probe)
         model = TransferModel(system.params)
         mode_used: dict[tuple[int, int], str] = {}
         plan: "ProxyPlan | None" = None
@@ -401,8 +393,10 @@ def run_transfer_many(
     :func:`repro.resilience.executor.run_resilient_transfer_many`, which
     batches the retry rounds of all scenarios wave-by-wave — a faulted
     scenario retries only its outstanding ledger extents without forcing
-    the rest serial.  Scope: exact mode only — no
-    ``batch_tol``/``fair_tol``, no probes.
+    the rest serial.  That route plans with the fault-aware planner, so
+    of the planning options it takes only ``max_proxies``; a non-default
+    ``mode``, ``min_proxies`` or ``max_offset`` (or any ``assignments``
+    or ``capacity_fn``) raises :class:`~repro.util.validation.ConfigError`.
 
     Args:
         assignments: optional per-scenario pre-built proxy assignments
@@ -451,11 +445,22 @@ def run_transfer_many(
     ):
         if events is not None:
             raise ConfigError("events and traces are mutually exclusive")
-        if assignments is not None or capacity_fn is not None:
+        unsupported = [
+            name
+            for name, is_set in (
+                ("assignments", assignments is not None),
+                ("capacity_fn", capacity_fn is not None),
+                ("mode", mode != "auto"),
+                ("min_proxies", min_proxies != TransferModel.MIN_BENEFICIAL_PROXIES),
+                ("max_offset", max_offset != 3),
+            )
+            if is_set
+        ]
+        if unsupported:
             raise ConfigError(
                 "faults/traces/policy route through the resilience "
-                "executor, which plans its own paths — assignments and "
-                "capacity_fn are not supported there"
+                "executor, which plans its own paths — "
+                f"{', '.join(unsupported)} not supported there"
             )
         from repro.resilience.executor import run_resilient_transfer_many
 
@@ -466,6 +471,7 @@ def run_transfer_many(
             traces=traces,
             sdc=sdc,
             policy=policy,
+            max_proxies=max_proxies,
             on_error=on_error,
         )
         wrapped: "list[TransferOutcome]" = []

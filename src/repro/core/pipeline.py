@@ -142,8 +142,6 @@ def run_pipelined_transfer(
     max_proxies: "int | None" = None,
     min_proxies: int = 2,
     chunk_bytes: "int | None" = None,
-    batch_tol: float = 0.0,
-    fair_tol: float = 0.0,
 ) -> TransferOutcome:
     """Run transfers through chunk-pipelined proxies.
 
@@ -168,7 +166,7 @@ def run_pipelined_transfer(
         plan = None
 
     comm = SimComm(system)
-    prog = FlowProgram(comm, batch_tol=batch_tol, fair_tol=fair_tol)
+    prog = FlowProgram(comm)
     mode_used: dict[tuple[int, int], str] = {}
     for spec in specs:
         asg = assignments.get((spec.src, spec.dst))

@@ -142,12 +142,7 @@ class TransferPlanner:
         reg.counter("planner.decisions.direct").inc(len(planned) - n_proxy)
         return planned
 
-    def execute(
-        self,
-        specs: Sequence[TransferSpec],
-        *,
-        batch_tol: float = 0.0,
-    ) -> TransferOutcome:
+    def execute(self, specs: Sequence[TransferSpec]) -> TransferOutcome:
         """Plan (cached) and run the transfers in the fluid simulator."""
         proxy_plan = self.find_plan([(s.src, s.dst) for s in specs])
         return run_transfer(
@@ -156,5 +151,4 @@ class TransferPlanner:
             mode="auto",
             assignments=proxy_plan.assignments,
             min_proxies=self.min_proxies,
-            batch_tol=batch_tol,
         )

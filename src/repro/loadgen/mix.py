@@ -134,8 +134,8 @@ def mix_reference(
     per-kind payload an *unloaded* worker would produce.  Load reports
     embed this so completed-request payloads can be read against the
     no-contention reference (a degraded-tier run diverges from it).
-    Kinds with no transfer physics (``spin``, ``io``, ``chaos``) and
-    non-exact overrides (``batch_tol != 0``) are skipped.
+    Kinds with no transfer physics (``spin``, ``io``, ``chaos``) are
+    skipped.
     """
     from repro.service.scenarios import run_transfer_kinds_batched
 
@@ -148,8 +148,6 @@ def mix_reference(
         params = dict(mix.params.get(kind, {}))
         if params_override:
             params.update(params_override)
-        if float(params.get("batch_tol", 0.0) or 0.0) != 0.0:
-            continue
         items.append((kind, params))
     if not items:
         return {}

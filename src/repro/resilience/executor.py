@@ -365,10 +365,8 @@ def _resilient_execution(
     planner: "ResilientPlanner | None" = None,
     monitor: "HealthMonitor | None" = None,
     sdc: "SDCModel | None" = None,
-    batch_tol: float = 0.0,
-    fair_tol: float = 0.0,
-    lazy_frac: float = 0.0,
     probe: "TimeSeriesProbe | None" = None,
+    max_proxies: "int | None" = None,
 ):
     """Generator core of the resilient executor (detect → credit → retry).
 
@@ -401,6 +399,9 @@ def _resilient_execution(
     Corruption decisions are pure functions of
     ``(seed, transfer, extent, round, carrier)``, so serial and batched
     drivers agree byte-for-byte.
+
+    ``max_proxies`` bounds the proxy search of the planner built here;
+    it is ignored when a ``planner`` is passed in.
     """
     specs = list(specs)
     if not specs:
@@ -418,7 +419,9 @@ def _resilient_execution(
             reprobe_interval=policy.reprobe_interval,
         )
     if planner is None:
-        planner = ResilientPlanner(system, faults=faults, monitor=monitor)
+        planner = ResilientPlanner(
+            system, faults=faults, monitor=monitor, max_proxies=max_proxies
+        )
     plans = planner.plan(specs)
 
     params = system.params
@@ -804,9 +807,6 @@ def _resilient_execution(
             return 0.0
         prog = FlowProgram(
             comm,
-            batch_tol=batch_tol,
-            fair_tol=fair_tol,
-            lazy_frac=lazy_frac,
             capacity_fn=round_capacity_fn(T0),
             probe=probe,
             t_base=T0,
@@ -892,9 +892,6 @@ def _resilient_execution(
         with rspan_cm as rspan:
             prog = FlowProgram(
                 comm,
-                batch_tol=batch_tol,
-                fair_tol=fair_tol,
-                lazy_frac=lazy_frac,
                 capacity_fn=round_capacity_fn(T),
                 probe=probe,
                 t_base=T,
@@ -1188,16 +1185,14 @@ def run_resilient_transfer(
     planner: "ResilientPlanner | None" = None,
     monitor: "HealthMonitor | None" = None,
     sdc: "SDCModel | None" = None,
-    batch_tol: float = 0.0,
-    fair_tol: float = 0.0,
-    lazy_frac: float = 0.0,
     probe: "TimeSeriesProbe | None" = None,
 ) -> ResilientOutcome:
     """Execute transfers with fault detection, failover and retry.
 
     The serial driver of :func:`_resilient_execution`: each yielded
-    round runs through its own ``prog.run`` call, exactly as the
-    pre-generator executor did.
+    round runs through its own ``prog.run`` call.  It is the reference
+    the batched :func:`run_resilient_transfer_many` is measured and
+    tested against, and the driver that takes a time-series ``probe``.
 
     Args:
         faults: *known* static faults — the planner routes around them.
@@ -1217,8 +1212,7 @@ def run_resilient_transfer(
     """
     gen = _resilient_execution(
         system, specs, faults=faults, trace=trace, policy=policy,
-        planner=planner, monitor=monitor, sdc=sdc, batch_tol=batch_tol,
-        fair_tol=fair_tol, lazy_frac=lazy_frac, probe=probe,
+        planner=planner, monitor=monitor, sdc=sdc, probe=probe,
     )
     result: "FlowSimResult | None" = None
     try:
@@ -1241,10 +1235,7 @@ def run_resilient_transfer_many(
     policy: "RetryPolicy | None" = None,
     monitors: "Sequence[HealthMonitor | None] | None" = None,
     sdc: "Sequence[SDCModel | None] | SDCModel | None" = None,
-    batch_tol: float = 0.0,
-    fair_tol: float = 0.0,
-    lazy_frac: float = 0.0,
-    probes: "Sequence[TimeSeriesProbe | None] | None" = None,
+    max_proxies: "int | None" = None,
     on_error: str = "raise",
 ) -> "list[ResilientOutcome]":
     """Execute many *independent* resilient transfers, batching rounds.
@@ -1263,13 +1254,9 @@ def run_resilient_transfer_many(
     byte-identical to serial :func:`run_resilient_transfer` calls for
     round programs below the incremental auto-gate (the executor's
     rounds are well under it; asserted by
-    ``tests/test_resilience_batched.py``).
-
-    A scenario that cannot batch falls back to a serial ``prog.run``
-    **for that wave only**, and the downgrade is surfaced, not silent:
-    the ``resilience.batch.fallback`` counter (plus a per-reason
-    ``resilience.batch.fallback.<reason>`` counter: ``probe-set``,
-    ``non-exact``) and a one-line log warning record why.
+    ``tests/test_resilience_batched.py``).  Every wave is one
+    ``simulate_many`` call: rounds always share bandwidth exactly
+    max-min fair, and there is no serial route.
 
     Args:
         faults / traces: per-scenario sequences aligned with
@@ -1279,15 +1266,15 @@ def run_resilient_transfer_many(
             model is shared by all).  Corruption decisions are pure
             functions of the model's seed and extent identity, so the
             batched waves make byte-identical decisions to serial runs.
-        probes: optional per-scenario probes (a probed scenario runs
-            its rounds serially — surfaced as above).
+        max_proxies: upper bound on each scenario's proxy count, handed
+            to its fault-aware :class:`ResilientPlanner` (``None``
+            leaves the search unbounded).
         on_error: ``"raise"`` propagates the first scenario's
             simulation failure (:class:`TransferAbortedError` etc.);
             ``"capture"`` stores the exception in that scenario's
             outcome slot and lets the rest finish.
     """
     from repro.network.batchsim import BatchFlowSim
-    from repro.util.log import get_logger
 
     if on_error not in ("raise", "capture"):
         raise ConfigError(
@@ -1313,19 +1300,14 @@ def run_resilient_transfer_many(
     faults_l = _aligned(faults, "faults")
     traces_l = _aligned(traces, "traces")
     monitors_l = _aligned(monitors, "monitors")
-    probes_l = _aligned(probes, "probes")
     sdc_l = _aligned(sdc, "sdc")
 
     reg = get_registry()
-    log = get_logger(__name__)
-    exact = batch_tol == 0.0 and fair_tol == 0.0 and lazy_frac == 0.0
-
     gens = [
         _resilient_execution(
             system, spec_sets[i], faults=faults_l[i], trace=traces_l[i],
             policy=policy, monitor=monitors_l[i], sdc=sdc_l[i],
-            batch_tol=batch_tol, fair_tol=fair_tol, lazy_frac=lazy_frac,
-            probe=probes_l[i],
+            max_proxies=max_proxies,
         )
         for i in range(n)
     ]
@@ -1361,52 +1343,18 @@ def run_resilient_transfer_many(
         # ambient scope.
         check_cancelled()
         idxs = sorted(pending)
-        batchable: "list[int]" = []
-        fallback: "list[tuple[int, str]]" = []
-        for i in idxs:
-            _, prog, _, _ = pending[i]
-            if prog.probe is not None:
-                fallback.append((i, "probe-set"))
-            elif not exact:
-                fallback.append((i, "non-exact"))
-            else:
-                batchable.append(i)
-        results: "dict[int, object]" = {}
-        if batchable:
-            batch = BatchFlowSim(system.params).simulate_many(
-                [
-                    (
-                        pending[i][1].capacity_fn or system.capacity,
-                        pending[i][1].flows,
-                    )
-                    for i in batchable
-                ],
-                events=[pending[i][2] for i in batchable],
-                cutoffs=[pending[i][3] for i in batchable],
-                sdc=[pending[i][1].sdc for i in batchable],
-                on_error="capture",
-            )
-            results.update(zip(batchable, batch))
-        if fallback:
-            reasons = sorted({r for _, r in fallback})
-            log.warning(
-                "resilient batch: %d/%d scenario round(s) fell back to "
-                "serial simulation (%s)",
-                len(fallback), len(idxs), ", ".join(reasons),
-            )
-            reg.counter("resilience.batch.fallback").inc(len(fallback))
-            for _, reason in fallback:
-                reg.counter(f"resilience.batch.fallback.{reason}").inc()
-            for i, _ in fallback:
-                _, prog, events, cutoffs = pending[i]
-                try:
-                    results[i] = prog.run(events, cutoffs=cutoffs)
-                except Exception as exc:
-                    results[i] = exc
-        for i in idxs:
-            gen = pending[i][0]
-            res = results[i]
-            advance(i, gen, res, throw=isinstance(res, Exception))
+        batch = BatchFlowSim(system.params).simulate_many(
+            [
+                (pending[i][1].capacity_fn or system.capacity, pending[i][1].flows)
+                for i in idxs
+            ],
+            events=[pending[i][2] for i in idxs],
+            cutoffs=[pending[i][3] for i in idxs],
+            sdc=[pending[i][1].sdc for i in idxs],
+            on_error="capture",
+        )
+        for i, res in zip(idxs, batch):
+            advance(i, pending[i][0], res, throw=isinstance(res, Exception))
 
     reg.counter("resilience.batch.transfers").inc(n)
     reg.counter("resilience.batch.waves").inc(n_waves)

@@ -163,34 +163,16 @@ def _verified(record: Mapping[str, Any]) -> bool:
     return True
 
 
-def _batchable(req: ScenarioRequest) -> "str | None":
-    """Can this request take the batched-simulate fast path?
+def _batchable(req: ScenarioRequest) -> bool:
+    """Does this request take the batched-simulate fast path?
 
-    Exact-mode transfer kinds with no deadline qualify — including ones
-    that schedule a fault trace (``fault_seed``): their payloads are
-    byte-identical batched or serial, and there is no wall-clock budget
-    the batch could blow for a neighbour.  Everything else keeps the
-    full service treatment — admission, breakers, cancellation.
-
-    Returns ``None`` when the request qualifies; a reason code when a
-    transfer kind must fall back to the serial path (``"deadline-set"``,
-    ``"non-exact"``, or ``"faults-scheduled"`` — a fault trace combined
-    with a per-request proxy cap, which the resilient planner does not
-    take); and ``"not-a-transfer"`` for kinds that were never fast-path
-    candidates (io, chaos, spin).
+    Transfer kinds with no deadline do: the batch computes exactly the
+    payload a worker would (both call the same function), and there is
+    no wall-clock budget the batch could blow for a neighbour.
+    Everything else keeps the full service treatment — admission,
+    breakers, cancellation.
     """
-    if req.kind not in ("p2p", "group", "fanin"):
-        return "not-a-transfer"
-    if req.deadline_s is not None:
-        return "deadline-set"
-    if float(req.params.get("batch_tol", 0.0) or 0.0) != 0.0:
-        return "non-exact"
-    if (
-        req.params.get("fault_seed") is not None
-        and req.params.get("max_proxies") is not None
-    ):
-        return "faults-scheduled"
-    return None
+    return req.kind in ("p2p", "group", "fanin") and req.deadline_s is None
 
 
 def run_batch(
@@ -201,7 +183,6 @@ def run_batch(
     resume: bool = False,
     config: "ServiceConfig | None" = None,
     progress: "Callable[[str], None] | None" = None,
-    batched: bool = True,
 ) -> dict:
     """Run (or resume) a campaign; returns a summary dict.
 
@@ -209,18 +190,17 @@ def run_batch(
     Without ``resume``, any existing journal is truncated and the whole
     campaign runs; with it, intact journaled results are reused.
 
-    With ``batched`` (the default), deadline-free exact-mode transfer
-    scenarios are simulated together through
+    Deadline-free transfer scenarios are simulated together through
     :func:`repro.service.scenarios.run_transfer_kinds_batched` — one
     block-diagonal :class:`~repro.network.batchsim.BatchFlowSim` pass
-    per machine size — instead of one service request each; payloads
-    (and hence journal records and the results file) are byte-identical
-    to the serial path's.  Fault-traced scenarios (``fault_seed``) stay
-    batched through the resilient executor's wave batching.  Any
-    scenario that cannot batch — and any batched-stage failure — falls
-    back to the service, and the downgrade is surfaced: the
-    ``service.batch.fast_path_fallback`` counter (plus a per-reason
-    ``...fallback.<reason>`` counter) and a one-line log warning.
+    per machine size — instead of one service request each.  A worker
+    runs the same function on one item, so payloads (and hence journal
+    records and the results file) are the ones the service would
+    produce.  Everything else goes through the service.  If the batched
+    call raises, its whole group goes through the service too, which
+    reports any failure per request; the
+    ``service.batch.fast_path_fallback`` counter and a one-line log
+    warning surface that.
     """
     out_path = Path(out_path)
     doc, requests, sha = load_campaign(campaign_path)
@@ -254,28 +234,7 @@ def run_batch(
         )
     merged: "dict[str, dict]" = dict(done)
     try:
-        fast: "list[ScenarioRequest]" = []
-        if batched:
-            reasons: "dict[str, int]" = {}
-            for r in todo:
-                why = _batchable(r)
-                if why is None:
-                    fast.append(r)
-                elif why != "not-a-transfer":
-                    reasons[why] = reasons.get(why, 0) + 1
-            if reasons:
-                for why, k in sorted(reasons.items()):
-                    get_registry().counter(
-                        "service.batch.fast_path_fallback"
-                    ).inc(k)
-                    get_registry().counter(
-                        f"service.batch.fast_path_fallback.{why}"
-                    ).inc(k)
-                log.warning(
-                    "batched fast path: %d scenario(s) fall back to serial (%s)",
-                    sum(reasons.values()),
-                    ", ".join(f"{why}: {k}" for why, k in sorted(reasons.items())),
-                )
+        fast = [r for r in todo if _batchable(r)]
         if fast:
             from repro.service.scenarios import run_transfer_kinds_batched
 
@@ -286,16 +245,13 @@ def run_batch(
                 )
             except Exception as exc:
                 # Any failure (bad params, planner error) sends the whole
-                # group down the serial path, which reports it per request.
+                # group through the service, which reports it per request.
                 get_registry().counter("service.batch.fast_path_fallback").inc(
                     len(fast)
                 )
-                get_registry().counter(
-                    "service.batch.fast_path_fallback.error"
-                ).inc(len(fast))
                 log.warning(
                     "batched fast path failed (%s: %s); "
-                    "%d scenario(s) fall back to serial",
+                    "%d scenario(s) go through the service",
                     type(exc).__name__, exc, len(fast),
                 )
                 fast = []

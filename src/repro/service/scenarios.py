@@ -5,8 +5,10 @@ fields ever land in a payload, so a seeded campaign's results are
 byte-identical across runs and resumes (the property ``repro batch
 --resume`` is verified against).
 
-Transfer kinds split into the two guarded stages the circuit breakers
-watch:
+Transfer kinds (p2p, group, fanin) all run through
+:func:`run_transfer_kinds_batched` — one item for a worker, many for
+``repro batch`` — and split into the two guarded stages the circuit
+breakers watch:
 
 * **plan** — the multipath proxy search (:class:`TransferPlanner`);
 * **simulate** — the fluid-simulator execution of the planned flows.
@@ -25,7 +27,7 @@ import functools
 import time
 from typing import Any, Mapping
 
-from repro.core.multipath import TransferSpec, run_transfer
+from repro.core.multipath import TransferSpec
 from repro.core.planner import TransferPlanner
 from repro.obs.trace import get_tracer
 from repro.util.cancel import check_cancelled, current_scope
@@ -123,16 +125,17 @@ def _sdc_model(params: Mapping[str, Any], system):
     )
 
 
-def _faulted_payload(
-    kind: str, system, out, *, degraded: bool = False, sdc: bool = False
+def _transfer_payload(
+    kind: str, system, out, *, degraded: bool, sdc: bool
 ) -> dict:
-    """Payload for a fault-traced transfer (serial and batched alike).
+    """Payload of one transfer scenario.
 
-    ``sdc`` adds the integrity-verification fields — only for requests
-    that opted into corruption injection, so pre-existing fault-traced
-    payloads stay byte-identical.
+    A run through the resilience executor (a fault-traced or
+    corruption-injected request) adds the ``faulted`` retry fields, and
+    ``sdc`` the integrity-verification fields — only for requests that
+    opted into corruption injection, so fault-traced payloads carry
+    none of them.
     """
-    r = out.resilience
     payload = {
         "kind": kind,
         "nnodes": system.nnodes,
@@ -141,13 +144,18 @@ def _faulted_payload(
         "throughput_Bps": out.throughput,
         "mode_used": _mode_used_payload(out.mode_used),
         "degraded": degraded,
-        "faulted": True,
-        "delivered_bytes": r.delivered_bytes,
-        "residue_bytes": r.residue_bytes,
-        "rounds": r.telemetry.rounds,
-        "retries": r.telemetry.retries,
-        "complete": r.complete,
     }
+    r = out.resilience
+    if r is None:
+        return payload
+    payload.update(
+        faulted=True,
+        delivered_bytes=r.delivered_bytes,
+        residue_bytes=r.residue_bytes,
+        rounds=r.telemetry.rounds,
+        retries=r.telemetry.retries,
+        complete=r.complete,
+    )
     if sdc:
         payload.update(
             corrupt_extents_detected=r.telemetry.corrupt_extents_detected,
@@ -185,221 +193,175 @@ def _ladder_capped(
     return own is None or int(max_proxies_cap) < int(own)
 
 
-def _run_transfer_kind(
-    kind: str,
-    params: Mapping[str, Any],
-    *,
-    degraded: bool,
-    stage_s: dict,
-    max_proxies_cap: "int | None" = None,
-) -> dict:
-    system = _system(nnodes=int(params.get("nnodes", 64)))
-    specs = _transfer_specs(kind, params, system)
-    tracer = get_tracer()
-    trace = _fault_trace(params, system)
-    sdc = _sdc_model(params, system)
-    if trace is not None or sdc is not None:
-        # Fault-traced / corruption-injected transfers run through the
-        # resilient executor, which does its own (fault-aware) planning
-        # — the plan stage and the degraded direct-path shortcut don't
-        # apply.  A per-request proxy cap needs a custom planner, which
-        # only the serial driver takes (the batched fast path surfaces
-        # these as the ``faults-scheduled`` fallback reason).
-        from repro.core.multipath import TransferOutcome, run_transfer_many
-        from repro.resilience.executor import TransferAbortedError
-        from repro.resilience.ledger import IntegrityError
-        from repro.service.errors import CorruptDataError
+def _simulate_failure(
+    exc: Exception, params: Mapping[str, Any], sdc, max_proxies_cap
+) -> ReproError:
+    """The typed error a failed transfer simulation surfaces as."""
+    from repro.resilience.executor import TransferAbortedError
+    from repro.resilience.ledger import IntegrityError
+    from repro.service.errors import CorruptDataError
 
-        mp = _effective_max_proxies(params, max_proxies_cap)
-        check_cancelled()
-        t0 = time.perf_counter()
-        try:
-            with tracer.span(
-                "service.simulate", cat="service", kind=kind, faulted=True
-            ):
-                if mp is not None:
-                    from repro.resilience import run_resilient_transfer
-                    from repro.resilience.planner import ResilientPlanner
-
-                    r = run_resilient_transfer(
-                        system, specs, trace=trace, sdc=sdc,
-                        planner=ResilientPlanner(system, max_proxies=mp),
-                    )
-                    out = TransferOutcome(
-                        makespan=r.makespan, total_bytes=r.total_bytes,
-                        mode_used=r.mode_used, result=r.result, resilience=r,
-                    )
-                else:
-                    out = run_transfer_many(
-                        system, [specs], traces=[trace], sdc=[sdc]
-                    )[0]
-        except SimulationCancelled:
-            raise
-        except TransferAbortedError as exc:
-            tele = getattr(exc, "telemetry", None)
-            if (
-                sdc is not None
-                and tele is not None
-                and tele.corrupt_extents_detected
-                and not _ladder_capped(params, max_proxies_cap)
-            ):
-                # Persistent corruption: every attempted path kept
-                # failing end-to-end verification.  Deterministic for
-                # these params — the service quarantines like poison.
-                raise CorruptDataError(
-                    f"corrupt-data: {tele.corrupt_extents_detected} corrupt "
-                    f"extent arrivals across {tele.rounds} rounds; no clean "
-                    f"path delivered — quarantined"
-                ) from exc
-            raise StageError("simulate", exc) from exc
-        except IntegrityError as exc:
-            raise CorruptDataError(f"corrupt-data: {exc}") from exc
-        except Exception as exc:
-            raise StageError("simulate", exc) from exc
-        finally:
-            stage_s["simulate_s"] = time.perf_counter() - t0
-        return _faulted_payload(
-            kind, system, out,
-            degraded=_ladder_capped(params, max_proxies_cap),
-            sdc=sdc is not None,
+    if isinstance(exc, IntegrityError):
+        return CorruptDataError(f"corrupt-data: {exc}")
+    tele = getattr(exc, "telemetry", None)
+    if (
+        isinstance(exc, TransferAbortedError)
+        and sdc is not None
+        and tele is not None
+        and tele.corrupt_extents_detected
+        and not _ladder_capped(params, max_proxies_cap)
+    ):
+        # Persistent corruption: every attempted path kept failing
+        # end-to-end verification.  Deterministic for these params —
+        # the service quarantines like poison.
+        return CorruptDataError(
+            f"corrupt-data: {tele.corrupt_extents_detected} corrupt "
+            f"extent arrivals across {tele.rounds} rounds; no clean "
+            f"path delivered — quarantined"
         )
-    assignments = None
-    if not degraded:
+    return StageError("simulate", exc)
+
+
+def run_transfer_kinds_batched(
+    items: "list[tuple[str, Mapping[str, Any]]]",
+    *,
+    degraded: bool = False,
+    max_proxies_cap: "int | None" = None,
+    stage_s: "dict | None" = None,
+) -> list[dict]:
+    """Execute transfer-kind scenarios; returns one payload per item.
+
+    ``items`` are ``(kind, params)`` pairs as a worker receives them.
+    This is the only transfer path: a service worker calls it with one
+    item and ``repro batch`` with every deadline-free transfer scenario
+    of a campaign, so their payloads agree by construction.  Flows share
+    bandwidth exactly max-min fair.
+
+    * **plan** — each fault-free scenario's proxy search runs through
+      its own :class:`TransferPlanner`, capped by the request's
+      ``max_proxies`` and the ladder's ``max_proxies_cap``.  With
+      ``degraded`` (the dispatcher's direct-mode verdict) the search is
+      skipped and every fault-free scenario moves on its direct path.
+    * **simulate** — one :func:`repro.core.multipath.run_transfer_many`
+      pass per machine size.  Fault-traced (``fault_seed``) and
+      corruption-injected (``sdc_seed``) scenarios run through the
+      resilience executor's wave batching instead, which plans its own
+      fault-aware proxies, grouped by their effective proxy cap.
+
+    Stage wall times land in ``stage_s`` (``plan_s``, ``simulate_s``).
+    A failure raises :class:`StageError` naming its stage — or, for
+    verified corruption, :class:`~repro.service.errors.CorruptDataError`
+    — for the first failing item.  Payloads produced under a binding
+    ladder cap or in direct mode are marked ``degraded``.
+    """
+    from repro.core.multipath import run_transfer_many
+
+    stage_s = {} if stage_s is None else stage_s
+    tracer = get_tracer()
+    prepared = []  # (system, specs, trace, sdc)
+    for kind, params in items:
+        if kind not in ("p2p", "group", "fanin"):
+            raise ConfigError(f"kind {kind!r} is not a transfer scenario")
+        system = _system(nnodes=int(params.get("nnodes", 64)))
+        prepared.append((
+            system,
+            _transfer_specs(kind, params, system),
+            _fault_trace(params, system),
+            _sdc_model(params, system),
+        ))
+    faulted = [p[2] is not None or p[3] is not None for p in prepared]
+    span_kind = ",".join(sorted({kind for kind, _ in items}))
+
+    assignments: "list[dict | None]" = [None] * len(items)
+    to_plan = [] if degraded else [i for i, f in enumerate(faulted) if not f]
+    if to_plan:
         t0 = time.perf_counter()
         try:
-            with tracer.span("service.plan", cat="service", kind=kind):
-                planner = TransferPlanner(
-                    system,
-                    max_proxies=_effective_max_proxies(params, max_proxies_cap),
-                )
-                assignments = planner.find_plan(
-                    [(s.src, s.dst) for s in specs]
-                ).assignments
+            with tracer.span("service.plan", cat="service", kind=span_kind):
+                for i in to_plan:
+                    system, specs, _, _ = prepared[i]
+                    planner = TransferPlanner(
+                        system,
+                        max_proxies=_effective_max_proxies(
+                            items[i][1], max_proxies_cap
+                        ),
+                    )
+                    assignments[i] = planner.find_plan(
+                        [(s.src, s.dst) for s in specs]
+                    ).assignments
         except SimulationCancelled:
             raise
         except Exception as exc:
             raise StageError("plan", exc) from exc
         finally:
             stage_s["plan_s"] = time.perf_counter() - t0
+
+    # One batched pass per machine size, fault-free and resilient
+    # scenarios apart — the latter also per proxy cap, which their
+    # planner takes for the whole group.  Each group's outcomes become
+    # payloads at once, so only one group's flow results are alive.
+    groups: "dict[tuple, list[int]]" = {}
+    for i, (system, _, _, _) in enumerate(prepared):
+        mp = (
+            _effective_max_proxies(items[i][1], max_proxies_cap)
+            if faulted[i]
+            else None
+        )
+        groups.setdefault((id(system), faulted[i], mp), []).append(i)
+    payloads: "list[dict | Exception | None]" = [None] * len(items)
     check_cancelled()
     t0 = time.perf_counter()
     try:
-        with tracer.span("service.simulate", cat="service", kind=kind):
-            out = run_transfer(
-                system,
-                specs,
-                mode="direct" if degraded else "auto",
-                assignments=assignments,
-                batch_tol=float(params.get("batch_tol", 0.0)),
-            )
+        with tracer.span(
+            "service.simulate", cat="service", kind=span_kind,
+            faulted=any(faulted),
+        ):
+            for (_, resilient, mp), idxs in groups.items():
+                system = prepared[idxs[0]][0]
+                spec_sets = [prepared[i][1] for i in idxs]
+                if resilient:
+                    res = run_transfer_many(
+                        system, spec_sets,
+                        traces=[prepared[i][2] for i in idxs],
+                        sdc=[prepared[i][3] for i in idxs],
+                        max_proxies=mp, on_error="capture",
+                    )
+                else:
+                    res = run_transfer_many(
+                        system, spec_sets,
+                        mode="direct" if degraded else "auto",
+                        assignments=[assignments[i] for i in idxs],
+                        on_error="capture",
+                    )
+                for i, out in zip(idxs, res):
+                    if isinstance(out, Exception):
+                        payloads[i] = out
+                        continue
+                    kind, params = items[i]
+                    payloads[i] = _transfer_payload(
+                        kind, system, out,
+                        degraded=_ladder_capped(params, max_proxies_cap)
+                        or (degraded and not resilient),
+                        sdc=prepared[i][3] is not None,
+                    )
     except SimulationCancelled:
         raise
     except Exception as exc:
         raise StageError("simulate", exc) from exc
     finally:
         stage_s["simulate_s"] = time.perf_counter() - t0
-    return {
-        "kind": kind,
-        "nnodes": system.nnodes,
-        "total_bytes": out.total_bytes,
-        "makespan_s": out.makespan,
-        "throughput_Bps": out.throughput,
-        "mode_used": _mode_used_payload(out.mode_used),
-        "degraded": degraded or _ladder_capped(params, max_proxies_cap),
-    }
 
-
-def run_transfer_kinds_batched(
-    items: "list[tuple[str, Mapping[str, Any]]]",
-) -> list[dict]:
-    """Execute many transfer-kind scenarios in one batched simulate pass.
-
-    ``items`` are ``(kind, params)`` pairs as a worker would receive
-    them; the returned payload dicts are byte-identical to what
-    :func:`_run_transfer_kind` produces un-degraded (planning runs per
-    scenario through the same :class:`TransferPlanner`; only the
-    simulate stage is batched, through
-    :func:`repro.core.multipath.run_transfer_many`).  Fault-traced
-    scenarios (``fault_seed``) stay batched too: each system's faulted
-    group runs through the resilience executor's wave batching, which
-    retries only a faulted scenario's outstanding ledger extents while
-    the rest of the batch proceeds.  Exact mode only — a scenario
-    requesting ``batch_tol != 0`` is rejected, and so is a fault trace
-    combined with ``max_proxies`` (the resilient planner plans its own
-    proxies); callers filter those to the serial path.
-    """
-    from repro.core.multipath import run_transfer_many
-
-    prepared = []  # (system, specs, assignments, kind, params, trace, sdc)
-    for kind, params in items:
-        if kind not in ("p2p", "group", "fanin"):
-            raise ConfigError(f"kind {kind!r} is not a transfer scenario")
-        if float(params.get("batch_tol", 0.0)) != 0.0:
-            raise ConfigError("batched transfer execution is exact-mode only")
-        system = _system(nnodes=int(params.get("nnodes", 64)))
-        specs = _transfer_specs(kind, params, system)
-        trace = _fault_trace(params, system)
-        sdc = _sdc_model(params, system)
-        assignments = None
-        if trace is None and sdc is None:
-            planner = TransferPlanner(
-                system, max_proxies=params.get("max_proxies")
-            )
-            assignments = planner.find_plan(
-                [(s.src, s.dst) for s in specs]
-            ).assignments
-        elif params.get("max_proxies") is not None:
-            raise ConfigError(
-                "fault-traced scenarios plan their own proxies; "
-                "max_proxies is serial-path only"
-            )
-        prepared.append((system, specs, assignments, kind, params, trace, sdc))
-
-    # One batched pass per distinct system (scenarios may differ in
-    # nnodes), fault-free and fault-traced groups separately — the
-    # latter through the resilient executor's wave batching.
-    payloads: "list[dict | None]" = [None] * len(items)
-    by_system: "dict[tuple[int, bool], list[int]]" = {}
-    for i, (system, _, _, _, _, trace, sdc) in enumerate(prepared):
-        by_system.setdefault(
-            (id(system), trace is not None or sdc is not None), []
-        ).append(i)
-    for (_, faulted), idxs in by_system.items():
-        system = prepared[idxs[0]][0]
-        if faulted:
-            outs = run_transfer_many(
-                system,
-                [prepared[i][1] for i in idxs],
-                traces=[prepared[i][5] for i in idxs],
-                sdc=[prepared[i][6] for i in idxs],
-            )
-            for i, out in zip(idxs, outs):
-                payloads[i] = _faulted_payload(
-                    prepared[i][3], system, out,
-                    sdc=prepared[i][6] is not None,
-                )
-            continue
-        outs = run_transfer_many(
-            system,
-            [prepared[i][1] for i in idxs],
-            mode="auto",
-            assignments=[prepared[i][2] for i in idxs],
-        )
-        for i, out in zip(idxs, outs):
-            payloads[i] = {
-                "kind": prepared[i][3],
-                "nnodes": system.nnodes,
-                "total_bytes": out.total_bytes,
-                "makespan_s": out.makespan,
-                "throughput_Bps": out.throughput,
-                "mode_used": _mode_used_payload(out.mode_used),
-                "degraded": False,
-            }
-    return payloads  # type: ignore[return-value]  # every slot filled above
+    for (_, params), (_, _, _, sdc), payload in zip(items, prepared, payloads):
+        if isinstance(payload, Exception):
+            raise _simulate_failure(
+                payload, params, sdc, max_proxies_cap
+            ) from payload
+    return payloads  # type: ignore[return-value]  # no failure left
 
 
 def _run_io(params: Mapping[str, Any], *, degraded: bool, stage_s: dict) -> dict:
     from repro.core import run_io_movement
+    from repro.core.iomove import IO_TOLERANCES
     from repro.torus.mapping import RankMapping
     from repro.torus.partition import CORES_PER_NODE
     from repro.workloads import hacc_io_sizes, pareto_pattern, uniform_pattern
@@ -424,8 +386,7 @@ def _run_io(params: Mapping[str, Any], *, degraded: bool, stage_s: dict) -> dict
         with get_tracer().span("service.simulate", cat="service", kind="io"):
             out = run_io_movement(
                 system, sizes, method=method, mapping=mapping,
-                batch_tol=float(params.get("batch_tol", 0.05)),
-                fair_tol=float(params.get("fair_tol", 0.02)),
+                **{k: float(params.get(k, v)) for k, v in IO_TOLERANCES.items()},
             )
     except SimulationCancelled:
         raise
@@ -517,9 +478,9 @@ def execute_request(
             degraded = True
     check_cancelled()
     if kind in ("p2p", "group", "fanin"):
-        payload = _run_transfer_kind(
-            kind, params, degraded=degraded, stage_s=stage_s,
-            max_proxies_cap=max_proxies_cap,
+        (payload,) = run_transfer_kinds_batched(
+            [(kind, params)], degraded=degraded,
+            max_proxies_cap=max_proxies_cap, stage_s=stage_s,
         )
     elif kind == "io":
         payload = _run_io(params, degraded=degraded, stage_s=stage_s)

@@ -62,7 +62,6 @@ def simulate_coupled_run(
     steps: int = 100,
     compute_seconds: float = 0.05,
     policy: str = "auto",
-    batch_tol: float = 0.02,
 ) -> CoupledRunResult:
     """Simulate ``steps`` coupling iterations under one movement policy.
 
@@ -77,9 +76,9 @@ def simulate_coupled_run(
         raise ConfigError(f"compute_seconds must be >= 0, got {compute_seconds}")
     specs = pairwise_transfers(layout, exchange_bytes)
     if policy == "pipeline":
-        outcome = run_pipelined_transfer(system, specs, batch_tol=batch_tol)
+        outcome = run_pipelined_transfer(system, specs)
     elif policy in ("direct", "proxy", "auto"):
-        outcome = run_transfer(system, specs, mode=policy, batch_tol=batch_tol)
+        outcome = run_transfer(system, specs, mode=policy)
     else:
         raise ConfigError(f"unknown policy {policy!r}")
     return CoupledRunResult(

@@ -45,9 +45,7 @@ class TestFig6:
     @pytest.fixture(scope="class")
     def fig6(self):
         # Reduced machine: 512 nodes, 32v32 keeps the same structure.
-        return fig6_group_proxies(
-            sizes=SMALL, nnodes=512, group_size=32, batch_tol=0.02
-        )
+        return fig6_group_proxies(sizes=SMALL, nnodes=512, group_size=32)
 
     def test_three_or_more_proxies_found(self, fig6):
         name = fig6.series[1].name
@@ -68,7 +66,7 @@ class TestFig6:
 class TestFig7:
     @pytest.fixture(scope="class")
     def fig7(self):
-        return fig7_proxy_count(sizes=[8 * MiB], batch_tol=0.02)
+        return fig7_proxy_count(sizes=[8 * MiB])
 
     def test_ordering_matches_paper(self, fig7):
         at = lambda name: fig7.get(name).y[0]

@@ -8,8 +8,7 @@ ledger credits — while solving each wave's flow simulations in one
 block-diagonal :class:`~repro.network.batchsim.BatchFlowSim` pass.
 These tests pin that contract over random fault schedules (hypothesis),
 the ``budget_s`` best-effort path, cooperative cancellation zero-drift,
-the incremental engine's self-audit under capacity events, and the
-surfaced (never silent) serial fallback.
+and the incremental engine's self-audit under capacity events.
 """
 
 import math
@@ -20,8 +19,6 @@ from hypothesis import given, settings, strategies as st
 from repro.core.multipath import TransferSpec
 from repro.machine import mira_system
 from repro.machine.faults import FaultEvent, FaultTrace
-from repro.obs import get_registry
-from repro.obs.metrics import TimeSeriesProbe
 from repro.resilience import RetryPolicy, TransferAbortedError, run_resilient_transfer
 from repro.resilience.executor import run_resilient_transfer_many
 from repro.util.cancel import CancelScope, cancel_scope
@@ -212,40 +209,3 @@ class TestIncrementalFaultAudit:
             )
         finally:
             FlowSim.run = orig_run
-
-
-class TestSurfacedFallback:
-    def _fallbacks(self):
-        c = get_registry().snapshot()["counters"]
-        return (
-            c.get("resilience.batch.fallback", 0),
-            c.get("resilience.batch.fallback.probe-set", 0),
-            c.get("resilience.batch.fallback.non-exact", 0),
-        )
-
-    def test_fault_campaign_stays_batched(self):
-        """Faulted scenarios batch like the rest — zero fallbacks."""
-        trace = FaultTrace(
-            (FaultEvent(link=ROUTE_LINKS[0], factor=0.0, start=0.0005),)
-        )
-        before = self._fallbacks()
-        run_resilient_transfer_many(SYSTEM, _spec_sets(), traces=[trace, None, None])
-        assert self._fallbacks() == before
-
-    def test_probe_forces_counted_serial_fallback(self):
-        """A probed scenario cannot batch; the downgrade must show up on
-        the total and per-reason counters, never silently."""
-        before = self._fallbacks()
-        probes = [TimeSeriesProbe(interval=1e-3), None, None]
-        run_resilient_transfer_many(SYSTEM, _spec_sets(), probes=probes)
-        after = self._fallbacks()
-        assert after[0] > before[0]  # total
-        assert after[1] > before[1]  # reason: probe-set
-        assert after[2] == before[2]
-
-    def test_non_exact_tolerances_fall_back_with_reason(self):
-        before = self._fallbacks()
-        run_resilient_transfer_many(SYSTEM, _spec_sets(), batch_tol=0.5)
-        after = self._fallbacks()
-        assert after[0] > before[0]
-        assert after[2] > before[2]  # reason: non-exact

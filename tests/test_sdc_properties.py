@@ -5,8 +5,7 @@ Acceptance-level properties of the inject → detect → re-drive loop
 
 * **no corrupt acknowledgement, ever** — whatever the seeded SDC model
   does, zero corrupted bytes are credited, and a run that returns
-  delivered exactly the requested bytes over verified-clean arrivals —
-  in serial and incremental (``lazy_frac``) execution alike;
+  delivered exactly the requested bytes over verified-clean arrivals;
 * **guaranteed detection** — a rate-1.0 corrupter on a carrier that
   round 0 certainly crosses produces at least one detected corrupt
   arrival (detection is end-to-end, not probabilistic plumbing);
@@ -58,30 +57,21 @@ sdc_models = st.builds(
     seed=st.integers(min_value=0, max_value=2**31 - 1),
 )
 
-#: 0.0 = exact serial solves; 0.05 = incremental lazy re-solve mode.
-lazy_fracs = st.sampled_from([0.0, 0.05])
-
-
-def _run(sdc, nbytes, **kw):
+def _run(sdc, nbytes):
     return run_resilient_transfer(
         SYSTEM,
         [TransferSpec(src=0, dst=127, nbytes=nbytes)],
         sdc=sdc,
         policy=RetryPolicy(max_retries=3),
-        **kw,
     )
 
 
 class TestNoCorruptAcknowledgement:
     @settings(max_examples=25, deadline=None)
-    @given(
-        sdc=sdc_models,
-        nbytes=st.integers(min_value=1, max_value=4 * MiB),
-        lazy_frac=lazy_fracs,
-    )
-    def test_never_credits_a_corrupt_extent(self, sdc, nbytes, lazy_frac):
+    @given(sdc=sdc_models, nbytes=st.integers(min_value=1, max_value=4 * MiB))
+    def test_never_credits_a_corrupt_extent(self, sdc, nbytes):
         try:
-            out = _run(sdc, nbytes, lazy_frac=lazy_frac)
+            out = _run(sdc, nbytes)
         except TransferAbortedError as e:
             # Gave up loudly — but still never acknowledged corruption.
             assert e.telemetry is not None
@@ -99,14 +89,11 @@ class TestGuaranteedDetection:
         proxy=st.sampled_from(PLAN_PROXIES),
         seed=st.integers(min_value=0, max_value=2**31 - 1),
         nbytes=st.integers(min_value=256 * 1024, max_value=4 * MiB),
-        lazy_frac=lazy_fracs,
     )
-    def test_certain_proxy_corruption_is_detected(
-        self, proxy, seed, nbytes, lazy_frac
-    ):
+    def test_certain_proxy_corruption_is_detected(self, proxy, seed, nbytes):
         sdc = SDCModel(corrupt_proxies={proxy: 1.0}, seed=seed)
         try:
-            out = _run(sdc, nbytes, lazy_frac=lazy_frac)
+            out = _run(sdc, nbytes)
         except TransferAbortedError as e:
             assert e.telemetry.corrupt_extents_detected > 0
             return
@@ -120,16 +107,15 @@ class TestZeroFalsePositives:
     @given(
         seed=st.integers(min_value=0, max_value=2**31 - 1),
         nbytes=st.integers(min_value=1, max_value=4 * MiB),
-        lazy_frac=lazy_fracs,
     )
-    def test_null_model_detects_nothing(self, seed, nbytes, lazy_frac):
-        verified = _run(SDCModel(seed=seed), nbytes, lazy_frac=lazy_frac)
+    def test_null_model_detects_nothing(self, seed, nbytes):
+        verified = _run(SDCModel(seed=seed), nbytes)
         assert verified.telemetry.corrupt_extents_detected == 0
         assert verified.telemetry.stale_drops == 0
         assert verified.corrupted_acknowledged_bytes == 0
         # Verification is pure observation: byte-identical to not
         # verifying at all.
-        plain = _run(None, nbytes, lazy_frac=lazy_frac)
+        plain = _run(None, nbytes)
         assert verified.makespan == plain.makespan
         assert verified.delivered_bytes == plain.delivered_bytes
         assert verified.telemetry.rounds == plain.telemetry.rounds

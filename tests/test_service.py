@@ -194,12 +194,13 @@ class TestBreakersAndDegradedMode:
             workers=1, breaker_failure_threshold=2, breaker_recovery_s=60.0
         )
         with ScenarioService(cfg) as svc:
-            # batch_tol=-1 fails deterministically inside *simulate*.
+            # An io request's batch_tol=-1 fails deterministically
+            # inside *simulate*.
             for i in range(2):
                 svc.submit(
                     ScenarioRequest(
-                        id=f"sim{i}", kind="p2p",
-                        params={"nnodes": 32, "batch_tol": -1},
+                        id=f"sim{i}", kind="io",
+                        params={"ncores": 512, "batch_tol": -1},
                     )
                 )
                 res = svc.result(f"sim{i}", timeout=120)
