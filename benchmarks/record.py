@@ -717,7 +717,7 @@ def main(argv: "list[str] | None" = None) -> int:
         if not name.startswith("bench."):
             continue
         stem, _, field = name[len("bench.") :].rpartition(".")
-        if not stem:  # bare gauge such as bench.null_tracer_overhead_frac
+        if not stem:  # bare gauge such as bench.flowsim_tracing_overhead_frac
             stem, field = field, "value"
         benchmarks.setdefault(stem, {})[field] = value
 

@@ -6,13 +6,18 @@ on a few dozen links each.  Run serially, each one pays the fixed numpy
 dispatch cost of a full event loop (array setup, waterfill calls on
 single-digit active sets), and that overhead, not arithmetic, dominates.
 
-:class:`BatchFlowSim` amortizes it by **stacking the scenarios'
-link×flow incidence matrices block-diagonally** into one global CSR:
-scenario ``i``'s real links occupy a private dense-id block, every flow
-gets its private virtual rate-cap link after all real blocks, and one
+:class:`BatchFlowSim` amortizes it by **stacking the scenarios' flow
+populations block-diagonally** into one global system.  Each scenario's
+population — the validated, cached structure :class:`FlowSim` itself
+runs on (see the ``flowsim`` module docstring) — is translated by the
+links and flows of the scenarios before it, not rebuilt: scenario
+``i``'s real links occupy a private dense-id block, every flow gets its
+private virtual rate-cap link after all real blocks, and one
 :func:`_waterfill_blocks` pass per lockstep round solves *every* live
 scenario's active set at once (per-scenario water levels, one global
-segment-min per iteration).  Because the blocks
+segment-min per iteration).  Capacity checks, event and cutoff
+validation, the stall error, the cancellation poll and result assembly
+are the solo engine's own helpers.  Because the blocks
 share no links, the stacked system decomposes into per-scenario
 components and the progressive filling's per-link arithmetic only ever
 mixes values from one scenario — each scenario's rates are **bit-equal**
@@ -23,8 +28,8 @@ Clocks stay **per scenario**: each round, every live scenario advances
 to *its own* next event (activation, capacity change, cutoff snapshot
 or completion) and drains its flows over exactly the same time segments
 a solo run would use, so results are byte-identical to per-scenario
-``FlowSim(..., incremental=False)`` runs (and within the usual ≤1e-12
-of the default incremental engine — see ``docs/PERFORMANCE.md``).
+solo runs with ``incremental=False`` (and within the usual ≤1e-12 of
+the default incremental engine — see ``docs/PERFORMANCE.md``).
 
 Scope: exact mode only (no ``batch_tol``/``fair_tol``/``lazy_frac``)
 and no probes.  Per-scenario **capacity events** (mid-run link
@@ -45,26 +50,30 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from repro.network.flow import Flow, FlowResult
+from repro.network.flow import Flow
 from repro.network.flowsim import (
     _EMPTY_I64,
     _EPS_BYTES,
     _REL_TOL,
     CapacityEvent,
     CapacityFn,
-    FlowSim,
     FlowSimResult,
+    _cancel_poller,
+    _capacity_fn,
+    _checked_events,
+    _csr_ptr,
+    _CutSchedule,
+    _flow_sim_result,
+    _flow_vectors,
+    _link_caps,
+    _population,
+    _Population,
     _segment_gather,
+    _stall_error,
 )
 from repro.network.params import MIRA_PARAMS, NetworkParams
 from repro.obs.metrics import get_registry
-from repro.util.cancel import current_scope
-from repro.util.validation import (
-    ConfigError,
-    LinkDownError,
-    SimulationCancelled,
-    SimulationError,
-)
+from repro.util.validation import ConfigError, SimulationError
 
 
 def _waterfill_blocks(
@@ -214,6 +223,64 @@ def _waterfill_blocks(
     return rate
 
 
+def _shifted(parts: "list[np.ndarray]", offs: np.ndarray) -> np.ndarray:
+    """Concatenate ``parts``, adding ``offs[i]`` to every entry of part i."""
+    return np.concatenate(parts) + np.repeat(offs, [len(p) for p in parts])
+
+
+def _stack(pops: "list[_Population]") -> _Population:
+    """The block-diagonal union of per-scenario populations.
+
+    Scenario ``i``'s real links and flows are translated past those of
+    the scenarios before it, and the virtual cap links follow every real
+    block, one per flow in global order — the arrays a build over the
+    concatenated flows would produce (with scenario-scoped link ids),
+    without touching a :class:`Flow`.  ``fid_to_idx``/``link_index`` stay
+    per scenario (``None`` here).
+    """
+    if len(pops) == 1:
+        return pops[0]
+    n_real = np.array([p.nl for p in pops], dtype=np.int64)
+    n_flow = np.array([len(p.real_lens) for p in pops], dtype=np.int64)
+    link_off = np.cumsum(n_real) - n_real
+    flow_off = np.cumsum(n_flow) - n_flow
+    nl, nf = int(n_real.sum()), int(n_flow.sum())
+    real_lens = np.concatenate([p.real_lens for p in pops])
+    lens_full = real_lens + 1
+    ptr = _csr_ptr(lens_full)
+    flat = _shifted([p.flat for p in pops], link_off)
+    flat[ptr[1:] - 1] = nl + np.arange(nf, dtype=np.int64)
+    # A real link's flows are the scenario's own, translated; each
+    # virtual link carries exactly its flow.
+    t_lens = np.concatenate(
+        [p.t_lens[: p.nl] for p in pops] + [np.ones(nf, dtype=np.int64)]
+    )
+    t_flow = np.concatenate([
+        _shifted([p.t_flow[: len(p.real_flat)] for p in pops], flow_off),
+        np.arange(nf, dtype=np.int64),
+    ])
+    child_lens = np.concatenate([p.child_lens for p in pops])
+    return _Population(
+        fid_to_idx=None,
+        link_index=None,
+        uniq=np.concatenate([p.uniq for p in pops]),
+        real_flat=_shifted([p.real_flat for p in pops], link_off),
+        real_ptr=_csr_ptr(real_lens),
+        real_lens=real_lens,
+        flat=flat,
+        ptr=ptr,
+        lens_full=lens_full,
+        t_flow=t_flow,
+        t_ptr=_csr_ptr(t_lens),
+        t_lens=t_lens,
+        rows_unique=all(p.rows_unique for p in pops),
+        dep_count0=np.concatenate([p.dep_count0 for p in pops]),
+        child_flat=_shifted([p.child_flat for p in pops], flow_off),
+        child_ptr=_csr_ptr(child_lens),
+        child_lens=child_lens,
+    )
+
+
 # Pass-1 branch tags (one per lockstep round, per scenario) — the same
 # event precedence the solo event loop resolves per iteration.
 _B_CUT = 0  # a cutoff snapshot splits the drain; rates stay valid
@@ -225,33 +292,24 @@ class _ScenarioState:
     """Mutable per-scenario bookkeeping inside one ``simulate_many``."""
 
     __slots__ = (
-        "index", "comp", "flows", "fid_to_idx", "uniq", "link_index", "nl",
-        "link_off", "flow_off", "T", "act", "pending", "n_updates",
-        "events", "ep", "cut_times", "cut_map", "cut_rec", "cp",
-        "rates_valid", "dead",
+        "index", "comp", "flows", "pop", "link_off", "flow_off", "T", "act",
+        "pending", "n_updates", "events", "ep", "cuts", "rates_valid", "dead",
     )
 
-    def __init__(self, index, comp, flows, fid_to_idx, uniq, link_index, nl,
-                 link_off, flow_off):
+    def __init__(self, index, comp, flows, pop, link_off, flow_off, events, cuts):
         self.index = index
         self.comp = comp  # scenario ordinal among non-empty scenarios
         self.flows = flows
-        self.fid_to_idx = fid_to_idx
-        self.uniq = uniq
-        self.link_index = link_index  # original link id -> local dense id
-        self.nl = nl
+        self.pop = pop  # the scenario's own population (local dense ids)
         self.link_off = link_off
         self.flow_off = flow_off
         self.T = 0.0
         self.act = _EMPTY_I64  # global flow ids, activation order
         self.pending: list[tuple[float, int]] = []
         self.n_updates = 0
-        self.events: list[CapacityEvent] = []
+        self.events: list[CapacityEvent] = events
         self.ep = 0  # next unapplied capacity event
-        self.cut_times: list[float] = []
-        self.cut_map: dict[float, list[int]] = {}  # time -> global flow ids
-        self.cut_rec: dict = {}
-        self.cp = 0  # next unapplied cutoff time
+        self.cuts: _CutSchedule = cuts  # snapshot ids are global flow ids
         # Mirrors the solo loop's ``rates is None``: True while the last
         # computed rate vector is still current (only a cutoff split
         # preserves it) — drives ``n_updates`` parity, since the global
@@ -270,7 +328,6 @@ class BatchFlowSim:
 
     def __init__(self, params: NetworkParams = MIRA_PARAMS):
         self.params = params
-        self._default_cap = min(params.stream_cap, params.mem_bw)
 
     def simulate_many(
         self,
@@ -327,38 +384,20 @@ class BatchFlowSim:
             raise ConfigError(
                 f"on_error must be 'raise' or 'capture', got {on_error!r}"
             )
-        if cancel_every < 1:
-            raise ConfigError(f"cancel_every must be >= 1, got {cancel_every}")
-        if cancel_check is None:
-            scope = current_scope()
-            if scope is not None:
-                cancel_check = scope.check
-        n_since_check = 0
-        if events is not None and len(events) != len(scenarios):
-            raise ConfigError(
-                f"events must align with scenarios "
-                f"({len(events)} != {len(scenarios)})"
-            )
-        if cutoffs is not None and len(cutoffs) != len(scenarios):
-            raise ConfigError(
-                f"cutoffs must align with scenarios "
-                f"({len(cutoffs)} != {len(scenarios)})"
-            )
-        if sdc is not None and len(sdc) != len(scenarios):
-            raise ConfigError(
-                f"sdc must align with scenarios "
-                f"({len(sdc)} != {len(scenarios)})"
-            )
+        poll = _cancel_poller(cancel_check, cancel_every)
+        for name, per_scenario in (("events", events), ("cutoffs", cutoffs), ("sdc", sdc)):
+            if per_scenario is not None and len(per_scenario) != len(scenarios):
+                raise ConfigError(
+                    f"{name} must align with scenarios "
+                    f"({len(per_scenario)} != {len(scenarios)})"
+                )
 
-        # ---- per-scenario structural build (validation + compaction) --
+        # ---- per-scenario populations (validated, memoized) ----------
         states: list[_ScenarioState] = []
         results: list["FlowSimResult | None"] = [None] * len(scenarios)
         errors: list["Exception | None"] = [None] * len(scenarios)
         caps_blocks: list[np.ndarray] = []
-        real_flat_parts: list[np.ndarray] = []
-        real_lens_parts: list[np.ndarray] = []
         flows_all: list[Flow] = []
-        dep_pairs: list[tuple[int, int]] = []  # (parent, child), global ids
         link_off = 0
         for si, item in enumerate(scenarios):
             try:
@@ -367,113 +406,42 @@ class BatchFlowSim:
                 raise ConfigError(
                     "each scenario must be a (capacities, flows) pair"
                 ) from None
-            sim = FlowSim(capacities, self.params)  # validates capacities
+            cap_of = _capacity_fn(capacities)
             flows = list(flows)
             if not flows:
                 results[si] = FlowSimResult({}, 0.0, {}, 0)
                 continue
-            fid_to_idx = sim._index_flows(flows)
-            link_index, uniq, caps, real_flat, real_ptr, real_lens = (
-                sim._compact_links(flows)
-            )
+            pop = _population(flows)
+            caps_blocks.append(_link_caps(cap_of, pop, flows))
             flow_off = len(flows_all)
-            st = _ScenarioState(
-                si, len(states), flows, fid_to_idx, uniq, link_index,
-                len(caps), link_off, flow_off,
-            )
-            scen_events = events[si] if events is not None else None
-            st.events = sorted(scen_events or ())
-            for e in st.events:
-                if not isinstance(e, CapacityEvent):
-                    raise ConfigError(
-                        f"capacity_events must contain CapacityEvent "
-                        f"records, got {e!r}"
-                    )
-            scen_cuts = cutoffs[si] if cutoffs is not None else None
-            if scen_cuts:
-                for fid, t_cut in scen_cuts.items():
-                    i = fid_to_idx.get(fid)
-                    if i is None:
-                        raise ConfigError(f"cutoff names unknown flow {fid!r}")
-                    t_cut = float(t_cut)
-                    if t_cut < 0:
-                        raise ConfigError(
-                            f"flow {fid!r}: cutoff time must be >= 0, "
-                            f"got {t_cut}"
-                        )
-                    if np.isfinite(t_cut):
-                        st.cut_map.setdefault(t_cut, []).append(flow_off + i)
-                st.cut_times = sorted(st.cut_map)
-            for i, f in enumerate(flows):
-                for dep in f.deps:
-                    j = fid_to_idx.get(dep)
-                    if j is None:
-                        raise ConfigError(
-                            f"flow {f.fid!r} depends on unknown flow {dep!r}"
-                        )
-                    if j == i:
-                        raise ConfigError(f"flow {f.fid!r} depends on itself")
-                    dep_pairs.append((flow_off + j, flow_off + i))
-            caps_blocks.append(caps)
-            real_flat_parts.append(real_flat + link_off)
-            real_lens_parts.append(real_lens)
+            states.append(_ScenarioState(
+                si, len(states), flows, pop, link_off, flow_off,
+                _checked_events(events[si] if events is not None else None),
+                _CutSchedule(
+                    cutoffs[si] if cutoffs is not None else None,
+                    pop.fid_to_idx, flow_off,
+                ),
+            ))
             flows_all.extend(flows)
-            link_off += len(caps)
-            states.append(st)
+            link_off += pop.nl
 
-        if not states:
-            return [r if r is not None else FlowSimResult({}, 0.0, {}, 0)
-                    for r in results]
+        if not states:  # every scenario was empty
+            return results
 
-        # ---- global block-diagonal incidence ---------------------------
+        # ---- global block-diagonal system -------------------------------
         nf = len(flows_all)
         nl = link_off
-        caps = np.concatenate(caps_blocks)
-        real_flat = np.concatenate(real_flat_parts)
-        real_lens = np.concatenate(real_lens_parts)
-        real_ptr = np.zeros(nf + 1, dtype=np.int64)
-        np.cumsum(real_lens, out=real_ptr[1:])
-
-        size_arr = np.array([f.size for f in flows_all], dtype=np.float64)
-        start_arr = np.array([f.start_time for f in flows_all])
-        delay_arr = np.array([f.delay for f in flows_all])
-        remaining = size_arr.copy()
-        rate_caps_all = np.array(
-            [
-                f.rate_cap if f.rate_cap is not None else self._default_cap
-                for f in flows_all
-            ]
+        g = _stack([st.pop for st in states])
+        real_flat, real_lens = g.real_flat, g.real_lens
+        flat, ptr, lens_full = g.flat, g.ptr, g.lens_full
+        t_flow, t_ptr, t_lens = g.t_flow, g.t_ptr, g.t_lens
+        child_flat, child_ptr, child_lens = g.child_flat, g.child_ptr, g.child_lens
+        dep_count = g.dep_count0.copy()  # consumed as dependencies release
+        size_arr, start_arr, delay_arr, rate_caps_all = _flow_vectors(
+            flows_all, self.params
         )
-        caps_full = np.concatenate([caps, rate_caps_all])
-        lens_full = real_lens + 1
-        ptr = np.zeros(nf + 1, dtype=np.int64)
-        np.cumsum(lens_full, out=ptr[1:])
-        flat = np.empty(int(ptr[-1]), dtype=np.int64)
-        virt_pos = ptr[1:] - 1
-        real_mask = np.ones(len(flat), dtype=bool)
-        real_mask[virt_pos] = False
-        flat[real_mask] = real_flat
-        flat[virt_pos] = nl + np.arange(nf, dtype=np.int64)
-        t_order = np.argsort(flat, kind="stable")
-        rep_flow = np.repeat(np.arange(nf, dtype=np.int64), lens_full)
-        t_flow = rep_flow[t_order]
-        t_lens = np.bincount(flat, minlength=nl + nf)
-        t_ptr = np.zeros(nl + nf + 1, dtype=np.int64)
-        np.cumsum(t_lens, out=t_ptr[1:])
-
-        # Dependency DAG (CSR over global flow ids).
-        dep_count = np.zeros(nf, dtype=np.int64)
-        child_lens = np.zeros(nf, dtype=np.int64)
-        for j, i in dep_pairs:
-            child_lens[j] += 1
-            dep_count[i] += 1
-        child_ptr = np.zeros(nf + 1, dtype=np.int64)
-        np.cumsum(child_lens, out=child_ptr[1:])
-        child_flat = np.empty(len(dep_pairs), dtype=np.int64)
-        fill = child_ptr[:-1].copy()
-        for j, i in dep_pairs:
-            child_flat[fill[j]] = i
-            fill[j] += 1
+        remaining = size_arr.copy()
+        caps_full = np.concatenate(caps_blocks + [rate_caps_all])
 
         # Scenario ordinal of every global flow and dense link (real
         # blocks first, then the per-flow virtual cap links) — the
@@ -485,7 +453,7 @@ class BatchFlowSim:
         comp_dense = np.concatenate([
             np.repeat(
                 np.arange(len(states), dtype=np.int64),
-                [st.nl for st in states],
+                [st.pop.nl for st in states],
             ),
             comp_flow,
         ])
@@ -503,7 +471,7 @@ class BatchFlowSim:
                 if dep_count[gi] == 0:
                     heapq.heappush(st.pending, (f.start_time + f.delay, gi))
 
-        have_deps = bool(dep_pairs)
+        have_deps = len(child_flat) > 0
 
         def release_deps(st: _ScenarioState, b: np.ndarray, t: float):
             # Scalar loop: waves finish a handful of flows, where the
@@ -549,54 +517,15 @@ class BatchFlowSim:
                 )
 
         def apply_cuts_due(st: _ScenarioState, t: float):
-            # Same arithmetic as the solo loop: callers land here with
-            # ``remaining`` drained exactly to ``t``, so size - remaining
-            # *is* the bytes delivered at the cut instant.
-            while st.cp < len(st.cut_times) and st.cut_times[st.cp] <= t + 1e-18:
-                for gi in st.cut_map[st.cut_times[st.cp]]:
-                    if done[gi]:
-                        got = float(size_arr[gi])
-                    else:
-                        got = float(
-                            min(
-                                size_arr[gi],
-                                max(size_arr[gi] - remaining[gi], 0.0),
-                            )
-                        )
-                    st.cut_rec[flows_all[gi].fid] = got
-                st.cp += 1
+            st.cuts.apply(t, flows_all, size_arr, remaining, done)
 
         def apply_events_due(st: _ScenarioState, t: float):
             while st.ep < len(st.events) and st.events[st.ep].time <= t + 1e-18:
                 e = st.events[st.ep]
-                k = st.link_index.get(e.link)
+                k = st.pop.link_index.get(e.link)
                 if k is not None:
                     caps_full[st.link_off + k] = e.capacity
                 st.ep += 1
-
-        def stall_error(st: _ScenarioState, bad: np.ndarray) -> SimulationError:
-            """The solo run's LinkDownError/starvation error, verbatim.
-
-            ``bad`` holds this scenario's zero-rate global flow ids in
-            activation order (the order the solo check would see them).
-            """
-            fids = [flows_all[int(g)].fid for g in bad]
-            down = sorted(
-                {
-                    int(st.uniq[int(k) - st.link_off])
-                    for g in bad
-                    for k in real_flat[real_ptr[g] : real_ptr[g + 1]]
-                    if caps_full[int(k)] <= 0
-                }
-            )
-            if down:
-                return LinkDownError(
-                    f"flows {fids} stalled: their routes cross "
-                    f"zero-capacity link(s) {down} (link down); the "
-                    f"transfers can never complete",
-                    links=tuple(down),
-                )
-            return SimulationError(f"flows starved (zero rate): {fids}")
 
         def kill_scenario(st: _ScenarioState, err: Exception):
             errors[st.index] = err
@@ -617,21 +546,9 @@ class BatchFlowSim:
         tmin = np.empty(K)  # per-scenario earliest completion dt
         while live:
             n_rounds += 1
-            if cancel_check is not None:
-                n_since_check += 1
-                if n_since_check >= cancel_every:
-                    n_since_check = 0
-                    try:
-                        hit = cancel_check()
-                    except SimulationCancelled:
-                        get_registry().counter("flowsim.cancelled").inc()
-                        raise
-                    if hit:
-                        get_registry().counter("flowsim.cancelled").inc()
-                        raise SimulationCancelled(
-                            f"batched simulation cancelled by hook after "
-                            f"{n_rounds} rounds ({len(live)} scenarios live)"
-                        )
+            if poll is not None:
+                poll(lambda: f"batched simulation cancelled by hook after "
+                             f"{n_rounds} rounds ({len(live)} scenarios live)")
             # One stacked waterfill covers every live scenario's active
             # set — blocks share no links, so each block's rates equal
             # its own solo full re-solve, bit for bit.
@@ -660,7 +577,12 @@ class BatchFlowSim:
                         st = need[0] if len(need) == 1 else next(
                             s for s in need if s.comp == int(c)
                         )
-                        err = stall_error(st, sel[bad_mask & (cf_sel == c)])
+                        # The solo run's error, verbatim: this scenario's
+                        # zero-rate flows in activation order.
+                        err = _stall_error(
+                            st.flows, st.pop, caps_full[st.link_off:],
+                            sel[bad_mask & (cf_sel == c)] - st.flow_off,
+                        )
                         if on_error == "raise":
                             raise err
                         kill_scenario(st, err)
@@ -707,9 +629,7 @@ class BatchFlowSim:
                 next_evt = (
                     st.events[st.ep].time if st.ep < len(st.events) else np.inf
                 )
-                next_cut = (
-                    st.cut_times[st.cp] if st.cp < len(st.cut_times) else np.inf
-                )
+                next_cut = st.cuts.upcoming()
                 dt_act = (st.pending[0][0] - st.T) if st.pending else np.inf
                 dt_int = min(dt_act, next_evt - st.T)
                 if (
@@ -788,48 +708,21 @@ class BatchFlowSim:
             live = [st for st in advancing if st.pending or len(st.act)]
 
         # ---- per-scenario results -------------------------------------
-        alive = [st for st in states if not st.dead]
-        if not done.all():
-            for st in alive:
-                lo, hi = st.flow_off, st.flow_off + len(st.flows)
-                if not done[lo:hi].all():
-                    stuck = [
-                        st.flows[i].fid
-                        for i in range(len(st.flows))
-                        if not done[lo + i]
-                    ]
-                    raise SimulationError(
-                        f"dependency cycle or stuck flows: {stuck}"
-                    )
-        # Every surviving flow completed: account link bytes once, in
-        # bulk — the per-event accumulation a solo run does is
-        # order-independent, and dead scenarios' blocks are disjoint
-        # from every surviving scenario's, so adding their (never-read)
-        # contributions is harmless.
+        # Account link bytes once, in bulk — the per-event accumulation
+        # a solo run does is order-independent, and dead scenarios'
+        # blocks are disjoint from every surviving scenario's, so adding
+        # their (never-read) contributions is harmless.
         np.add.at(link_bytes_arr, real_flat, np.repeat(size_arr, real_lens))
+        alive = [st for st in states if not st.dead]
         for st in alive:
             apply_cuts_due(st, np.inf)  # cuts past the makespan
-            lo, hi = st.flow_off, st.flow_off + len(st.flows)
-            lb = link_bytes_arr[st.link_off : st.link_off + st.nl]
-            busy = np.flatnonzero(lb)
-            link_bytes = {int(st.uniq[k]): float(lb[k]) for k in busy}
-            res = {
-                f.fid: FlowResult(
-                    fid=f.fid,
-                    size=f.size,
-                    start=float(start_rec[lo + i]),
-                    finish=float(finish_rec[lo + i]),
-                    tag=f.tag,
-                )
-                for i, f in enumerate(st.flows)
-            }
-            makespan = float(np.max(finish_rec[lo:hi]))
-            out = FlowSimResult(
-                res, makespan, link_bytes, st.n_updates, st.cut_rec
+            fs = slice(st.flow_off, st.flow_off + len(st.flows))
+            results[st.index] = _flow_sim_result(
+                st.flows, st.pop, done[fs], start_rec[fs], finish_rec[fs],
+                link_bytes_arr[st.link_off : st.link_off + st.pop.nl],
+                st.n_updates, st.cuts.rec,
+                sdc[st.index] if sdc is not None else None,
             )
-            if sdc is not None and sdc[st.index] is not None:
-                out.annotate_sdc(sdc[st.index], st.flows)
-            results[st.index] = out
 
         reg = get_registry()
         reg.counter("flowsim.batch_runs").inc()
@@ -844,13 +737,3 @@ class BatchFlowSim:
             for res, err in zip(results, errors)
         ]
 
-
-def simulate_many(
-    scenarios: Sequence[
-        tuple["Mapping[int, float] | CapacityFn", Sequence[Flow]]
-    ],
-    params: NetworkParams = MIRA_PARAMS,
-    **kwargs,
-) -> list[FlowSimResult]:
-    """Module-level convenience: ``BatchFlowSim(params).simulate_many(...)``."""
-    return BatchFlowSim(params).simulate_many(scenarios, **kwargs)

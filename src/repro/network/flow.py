@@ -3,14 +3,13 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Any, Hashable
-
-import numpy as np
 
 from repro.util.validation import ConfigError
 
 FlowId = Hashable
+
+_INF = float("inf")
 
 
 @dataclass(frozen=True)
@@ -45,25 +44,16 @@ class Flow:
     tag: Any = None
 
     def __post_init__(self):
-        if self.size < 0:
-            raise ConfigError(f"flow {self.fid!r}: size must be >= 0, got {self.size}")
-        if self.delay < 0:
-            raise ConfigError(f"flow {self.fid!r}: delay must be >= 0")
-        if self.start_time < 0:
-            raise ConfigError(f"flow {self.fid!r}: start_time must be >= 0")
-        if self.rate_cap is not None and self.rate_cap <= 0:
-            raise ConfigError(f"flow {self.fid!r}: rate_cap must be > 0")
-
-    @cached_property
-    def path_arr(self) -> np.ndarray:
-        """``path`` as an ``int64`` array, computed once per flow.
-
-        The simulator's incidence-matrix build concatenates these
-        directly (no per-hop tuple iteration); caching matters because
-        benchmarks and the resilience executor re-run the same flow
-        objects many times.
-        """
-        return np.asarray(self.path, dtype=np.int64)
+        # Written so NaN fails: a NaN time or size would otherwise stall
+        # the event loop instead of being rejected.
+        if not (0 <= self.size < _INF and 0 <= self.delay < _INF
+                and 0 <= self.start_time < _INF):
+            raise ConfigError(
+                f"flow {self.fid!r}: size, delay and start_time must be finite "
+                f"and >= 0, got {self.size}, {self.delay}, {self.start_time}"
+            )
+        if self.rate_cap is not None and not self.rate_cap > 0:
+            raise ConfigError(f"flow {self.fid!r}: rate_cap must be > 0, got {self.rate_cap}")
 
 
 @dataclass(frozen=True)

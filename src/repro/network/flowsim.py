@@ -24,18 +24,33 @@ bandwidth.
 Implementation
 --------------
 The core is vectorized around a **sparse link×flow incidence matrix**
-built once per run in CSR form: one flat ``int64`` array of dense link
-indices (every flow's real links followed by its private virtual cap
-link) plus row-pointer offsets.  The event loop is *incremental*: the
-per-link active-flow counts (``nfl``) are maintained with
+in CSR form: one flat ``int64`` array of dense link indices (every
+flow's real links followed by its private virtual cap link) plus
+row-pointer offsets.  The event loop is *incremental*: the per-link
+active-flow counts (``nfl``) are maintained with
 ``np.add.at``/``np.subtract.at`` as flows activate and complete, and the
 active-set incidence slice is re-gathered with one fancy index per rate
 epoch — there is no per-flow Python loop over path rows anywhere in the
-hot path.  :meth:`FlowSim._waterfill` consumes those arrays directly:
+hot path.  :func:`waterfill_csr` consumes those arrays directly:
 per-iteration link loads, saturation detection and flow freezing are all
 boolean-mask operations over the incidence entries.  Dependency releases
 are batched per completion event (one segmented gather over a children
 CSR).  See ``docs/PERFORMANCE.md`` for the measured speedups.
+
+Flow populations
+----------------
+Everything derived from the flows' identities alone — fids, routes and
+dependencies, not capacities or payloads — is one *flow population*,
+built and validated by ``_population``: the dense-link
+compaction, both incidence CSRs and the dependency DAG.  Both engines
+consume it: :meth:`FlowSim.run` directly, and
+:class:`~repro.network.batchsim.BatchFlowSim` by translating each
+scenario's population into a private block of one stacked system.  One
+small LRU memo shares populations across runs that resubmit them under
+new capacities (resilience retry rounds, repeated scenarios).  The
+per-run steps around it — capacity fetch and check, per-flow vectors,
+capacity-event and cutoff validation, the stall error, the cancellation
+poll and result assembly — are defined once, here, for both engines.
 
 Scale
 -----
@@ -49,9 +64,10 @@ by ``batch_tol``; tests cross-validate against exact mode.
 
 from __future__ import annotations
 
+import functools
 import heapq
-import threading
-from collections import OrderedDict
+import itertools
+import math
 from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -85,62 +101,136 @@ CapacityFn = Callable[[int], float]
 _EMPTY_I64 = np.empty(0, dtype=np.int64)
 
 
-class _StructuralCache:
-    """Small thread-safe LRU memo for flow-population structural arrays.
+class _Population(NamedTuple):
+    """Capacity-independent structure of one flow population.
 
-    Resilience retry rounds and repeated service scenarios re-simulate
-    *identical flow populations* under different capacity functions, and
-    everything derived from the flows' identities alone — the dense-link
-    compaction, both incidence CSRs, the dependency DAG — is reusable
-    verbatim across those runs.  Keys hold references to the flows' own
-    tuples (no copies); cached arrays are handed out uncopied and must
-    be treated as immutable by the consumer (the one array :meth:`run`
-    mutates, the dependency countdown, is copied on the way out).
+    Dense link ids ``0..nl-1`` are the population's distinct real links
+    (ascending global id); ``nl + i`` is flow ``i``'s private virtual
+    rate-cap link.  Every CSR is a ``(flat, ptr, lens)`` triple, row
+    ``i`` being ``flat[ptr[i]:ptr[i] + lens[i]]``.
     """
 
-    def __init__(self, maxsize: int = 8):
-        self.maxsize = maxsize
-        self._data: OrderedDict = OrderedDict()
-        self._lock = threading.Lock()
-
-    def get(self, key):
-        with self._lock:
-            val = self._data.get(key)
-            if val is not None:
-                self._data.move_to_end(key)
-            return val
-
-    def put(self, key, val) -> None:
-        with self._lock:
-            self._data[key] = val
-            self._data.move_to_end(key)
-            while len(self._data) > self.maxsize:
-                self._data.popitem(last=False)
-
-    def clear(self) -> None:
-        with self._lock:
-            self._data.clear()
-
-
-class _RunStructure(NamedTuple):
-    """Capacity-independent per-population arrays cached across runs."""
-
-    fid_to_idx: "dict[FlowId, int]"
-    dep_count0: np.ndarray  # pristine dependency countdown (copy to use)
-    child_lens: np.ndarray
-    child_ptr: np.ndarray
-    child_flat: np.ndarray
-    lens_full: np.ndarray
-    ptr: np.ndarray
+    fid_to_idx: "dict[FlowId, int] | None"
+    link_index: "dict[int, int] | None"  # global link id -> dense id
+    uniq: np.ndarray  # dense id -> global link id
+    # flow -> its real dense links
+    real_flat: np.ndarray
+    real_ptr: np.ndarray
+    real_lens: np.ndarray
+    # flow -> its real links, then its virtual cap link
     flat: np.ndarray
+    ptr: np.ndarray
+    lens_full: np.ndarray
+    # the transpose: dense link -> flows crossing it
     t_flow: np.ndarray
-    t_lens: np.ndarray
     t_ptr: np.ndarray
-    rows_unique: bool
+    t_lens: np.ndarray
+    rows_unique: bool  # no flow crosses a link twice
+    # dependency DAG: flow -> the flows waiting on it
+    dep_count0: np.ndarray  # pristine dependency countdown (copy to use)
+    child_flat: np.ndarray
+    child_ptr: np.ndarray
+    child_lens: np.ndarray
+
+    @property
+    def nl(self) -> int:
+        """Number of real dense links."""
+        return len(self.uniq)
 
 
-_LINK_STRUCT_CACHE = _StructuralCache()
-_RUN_STRUCT_CACHE = _StructuralCache()
+def _csr_ptr(lens: np.ndarray) -> np.ndarray:
+    """Row pointers of a CSR whose row lengths are ``lens``."""
+    ptr = np.zeros(len(lens) + 1, dtype=np.int64)
+    np.cumsum(lens, out=ptr[1:])
+    return ptr
+
+
+def _population(flows: Sequence[Flow]) -> _Population:
+    """The validated :class:`_Population` of ``flows`` (memoized)."""
+    return _population_of(tuple((f.fid, f.path, f.deps) for f in flows))
+
+
+@functools.lru_cache(maxsize=8)
+def _population_of(key: "tuple[tuple[FlowId, tuple, tuple], ...]") -> _Population:
+    """Build the population of the flows whose ``(fid, path, deps)``
+    triples are ``key``; a duplicate fid or a dependency on an unknown
+    flow or on itself is a :class:`ConfigError` (never cached).
+
+    Memoized because resilience retry rounds and repeated scenarios
+    resubmit identical populations under new capacities.  The arrays
+    are shared, not copied: consumers treat them as immutable and copy
+    the one they mutate, the dependency countdown.
+    """
+    n = len(key)
+    fid_to_idx: dict[FlowId, int] = {}
+    for i, (fid, _, _) in enumerate(key):
+        if fid in fid_to_idx:
+            raise ConfigError(f"duplicate flow id {fid!r}")
+        fid_to_idx[fid] = i
+    parents: list[int] = []
+    children: list[int] = []
+    for i, (fid, _, deps) in enumerate(key):
+        for dep in deps:
+            j = fid_to_idx.get(dep)
+            if j is None:
+                raise ConfigError(f"flow {fid!r} depends on unknown flow {dep!r}")
+            if j == i:
+                raise ConfigError(f"flow {fid!r} depends on itself")
+            parents.append(j)
+            children.append(i)
+    par = np.asarray(parents, dtype=np.int64)
+    chi = np.asarray(children, dtype=np.int64)
+    child_lens = np.bincount(par, minlength=n)
+
+    # Real links: one ``np.unique`` over every route's hops maps global
+    # link ids to dense ones.
+    real_lens = np.fromiter((len(p) for _, p, _ in key), dtype=np.int64, count=n)
+    real_ptr = _csr_ptr(real_lens)
+    flat_g = np.fromiter(
+        itertools.chain.from_iterable(p for _, p, _ in key),
+        dtype=np.int64, count=int(real_ptr[-1]),
+    )
+    uniq, real_flat = np.unique(flat_g, return_inverse=True)
+    real_flat = real_flat.astype(np.int64, copy=False)
+    nl = len(uniq)
+
+    # The full incidence: each row's real links, then its virtual link.
+    lens_full = real_lens + 1
+    ptr = _csr_ptr(lens_full)
+    flat = np.empty(int(ptr[-1]), dtype=np.int64)
+    virt_pos = ptr[1:] - 1
+    real_mask = np.ones(len(flat), dtype=bool)
+    real_mask[virt_pos] = False
+    flat[real_mask] = real_flat
+    flat[virt_pos] = nl + np.arange(n, dtype=np.int64)
+    # Transpose (link -> flows crossing it): the waterfill walks a
+    # saturated link's flow list through these slices instead of
+    # scanning every active entry per filling iteration.
+    rep_flow = np.repeat(np.arange(n, dtype=np.int64), lens_full)
+    t_flow = rep_flow[np.argsort(flat, kind="stable")]
+    t_lens = np.bincount(flat, minlength=nl + n)
+    return _Population(
+        fid_to_idx=fid_to_idx,
+        link_index={g: k for k, g in enumerate(uniq.tolist())},
+        uniq=uniq,
+        real_flat=real_flat,
+        real_ptr=real_ptr,
+        real_lens=real_lens,
+        flat=flat,
+        ptr=ptr,
+        lens_full=lens_full,
+        t_flow=t_flow,
+        t_ptr=_csr_ptr(t_lens),
+        t_lens=t_lens,
+        # Torus routes never reuse a directed link, so rows are normally
+        # duplicate-free; checked once so the waterfill can trust
+        # single-link freeze lists without a dedup pass.
+        rows_unique=len(np.unique(flat * np.int64(n) + rep_flow)) == len(flat),
+        dep_count0=np.bincount(chi, minlength=n),
+        child_flat=chi[np.argsort(par, kind="stable")],
+        child_ptr=_csr_ptr(child_lens),
+        child_lens=child_lens,
+    )
 
 
 def _segment_gather(ptr: np.ndarray, lens: np.ndarray, idxs: np.ndarray) -> np.ndarray:
@@ -175,9 +265,9 @@ class CapacityEvent:
     capacity: float
 
     def __post_init__(self):
-        if self.time < 0:
-            raise ConfigError(f"event time must be >= 0, got {self.time}")
-        if self.capacity < 0:
+        if not 0 <= self.time < math.inf:
+            raise ConfigError(f"event time must be finite and >= 0, got {self.time}")
+        if not self.capacity >= 0:
             raise ConfigError(
                 f"link {self.link}: event capacity must be >= 0, got {self.capacity}"
             )
@@ -190,7 +280,7 @@ def uniform_capacities(link_bw: float) -> CapacityFn:
     :mod:`repro.machine` supplies heterogeneous capacities (torus links
     vs. 2 GB/s ION links vs. the ION→storage fabric).
     """
-    if link_bw <= 0:
+    if not link_bw > 0:
         raise ConfigError(f"link_bw must be > 0, got {link_bw}")
     return lambda link_id: link_bw
 
@@ -294,6 +384,192 @@ class FlowSimResult:
     def by_tag(self, tag) -> list[FlowResult]:
         """All flow results carrying ``tag``."""
         return [r for r in self.results.values() if r.tag == tag]
+
+
+# ---------------------------------------------------------------------------
+# Per-run steps shared by FlowSim.run and BatchFlowSim.simulate_many
+
+
+def _capacity_fn(capacities: "Mapping[int, float] | CapacityFn") -> CapacityFn:
+    """``capacities`` as a callable from link id to bytes/second."""
+    if isinstance(capacities, Mapping):
+        return capacities.__getitem__
+    if callable(capacities):
+        return capacities
+    raise ConfigError("capacities must be a mapping or callable")
+
+
+def _link_caps(cap_of: CapacityFn, pop: _Population, flows: Sequence[Flow]) -> np.ndarray:
+    """Capacity of each of ``pop``'s real dense links, fetched once per
+    link; a route across a link without a positive capacity (down, or
+    not a number) is a :class:`ConfigError` naming the first such flow."""
+    caps = np.array([float(cap_of(g)) for g in pop.uniq.tolist()], dtype=np.float64)
+    bad = np.flatnonzero(~(caps > 0))
+    if len(bad):
+        e = int(np.flatnonzero(np.isin(pop.real_flat, bad))[0])
+        i = int(np.searchsorted(pop.real_ptr, e, side="right")) - 1
+        k = pop.real_flat[e]
+        raise ConfigError(
+            f"flow {flows[i].fid!r}: route crosses link {int(pop.uniq[k])} with "
+            f"capacity {caps[k]}, not > 0 (link is down or misconfigured); "
+            f"exclude the path or heal the link before submitting"
+        )
+    return caps
+
+
+def _flow_vectors(flows: Sequence[Flow], params: NetworkParams):
+    """Per-flow ``(size, start_time, delay, rate_cap)`` float arrays; a
+    ``None`` rate cap is the machine's single-stream default,
+    ``min(stream_cap, mem_bw)``."""
+    default_cap = min(params.stream_cap, params.mem_bw)
+    cols = np.array(
+        [
+            (f.size, f.start_time, f.delay,
+             default_cap if f.rate_cap is None else f.rate_cap)
+            for f in flows
+        ],
+        dtype=np.float64,
+    )
+    return tuple(np.ascontiguousarray(cols.T))
+
+
+def _checked_events(events) -> "list[CapacityEvent]":
+    """Capacity events sorted by fire time, each a :class:`CapacityEvent`."""
+    events = list(events or ())
+    for e in events:
+        if not isinstance(e, CapacityEvent):
+            raise ConfigError(
+                f"capacity_events must contain CapacityEvent records, got {e!r}"
+            )
+    return sorted(events)
+
+
+class _CutSchedule:
+    """One run's validated cutoff snapshots (see :meth:`FlowSim.run`).
+
+    ``at`` maps each finite cutoff time to the flow indices it snapshots
+    (offset by ``flow_off`` — a batch's global flow ids); ``rec`` collects
+    the delivered bytes by fid as :meth:`apply` reaches each time.
+    """
+
+    __slots__ = ("at", "times", "next", "rec")
+
+    def __init__(self, cutoffs, fid_to_idx: "dict[FlowId, int]", flow_off: int = 0):
+        self.at: dict[float, list[int]] = {}
+        for fid, t_cut in (cutoffs or {}).items():
+            i = fid_to_idx.get(fid)
+            if i is None:
+                raise ConfigError(f"cutoff names unknown flow {fid!r}")
+            t_cut = float(t_cut)
+            if t_cut < 0:
+                raise ConfigError(f"flow {fid!r}: cutoff time must be >= 0, got {t_cut}")
+            if np.isfinite(t_cut):
+                self.at.setdefault(t_cut, []).append(flow_off + i)
+        self.times = sorted(self.at)
+        self.next = 0  # next unapplied cutoff time
+        self.rec: dict = {}
+
+    def upcoming(self) -> float:
+        """The next unapplied cutoff time (``inf`` when none is left)."""
+        return self.times[self.next] if self.next < len(self.times) else np.inf
+
+    def apply(self, t: float, flows, size, remaining, done) -> None:
+        """Snapshot delivered bytes for every cutoff whose time arrived.
+
+        Rates are piecewise constant and every caller lands here with
+        ``remaining`` drained exactly to ``t``, so ``size - remaining``
+        *is* the bytes delivered at the cut instant — no interpolation.
+        """
+        while self.next < len(self.times) and self.times[self.next] <= t + 1e-18:
+            for i in self.at[self.times[self.next]]:
+                if done[i]:
+                    got = float(size[i])
+                else:
+                    got = float(min(size[i], max(size[i] - remaining[i], 0.0)))
+                self.rec[flows[i].fid] = got
+            self.next += 1
+
+
+def _cancel_poller(cancel_check, cancel_every: int):
+    """One run's cooperative cancellation poll, or ``None`` without a hook.
+
+    The returned function polls ``cancel_check`` (default: the ambient
+    :func:`repro.util.cancel.current_scope`) on every ``cancel_every``-th
+    call; its argument describes the run for the cancellation message.
+    """
+    if cancel_every < 1:
+        raise ConfigError(f"cancel_every must be >= 1, got {cancel_every}")
+    if cancel_check is None:
+        scope = current_scope()
+        if scope is None:
+            return None
+        cancel_check = scope.check
+    calls = 0
+
+    def poll(describe: "Callable[[], str]") -> None:
+        nonlocal calls
+        calls += 1
+        if calls < cancel_every:
+            return
+        calls = 0
+        try:
+            hit = cancel_check()
+        except SimulationCancelled:
+            get_registry().counter("flowsim.cancelled").inc()
+            raise
+        if hit:
+            get_registry().counter("flowsim.cancelled").inc()
+            raise SimulationCancelled(describe())
+
+    return poll
+
+
+def _stall_error(flows, pop: _Population, caps, bad) -> SimulationError:
+    """The error for the flows ``bad`` (population indices, activation
+    order) that a fresh solve left at zero rate: a :class:`LinkDownError`
+    when their routes cross a zero-capacity link (``caps`` is indexed by
+    dense link id), else starvation."""
+    fids = [flows[int(i)].fid for i in bad]
+    down = sorted(
+        {
+            int(pop.uniq[k])
+            for i in bad
+            for k in pop.real_flat[pop.real_ptr[i] : pop.real_ptr[i + 1]]
+            if caps[int(k)] <= 0
+        }
+    )
+    if down:
+        return LinkDownError(
+            f"flows {fids} stalled: their routes cross "
+            f"zero-capacity link(s) {down} (link down); the "
+            f"transfers can never complete",
+            links=tuple(down),
+        )
+    return SimulationError(f"flows starved (zero rate): {fids}")
+
+
+def _flow_sim_result(
+    flows, pop: _Population, done, start, finish, link_bytes, n_updates, cut_rec, sdc
+) -> FlowSimResult:
+    """One run's :class:`FlowSimResult` from its per-flow and per-dense-link
+    arrays (busy links only), annotated with ``sdc``."""
+    if not done.all():
+        stuck = [f.fid for f, ok in zip(flows, done.tolist()) if not ok]
+        raise SimulationError(f"dependency cycle or stuck flows: {stuck}")
+    busy = np.flatnonzero(link_bytes)
+    out = FlowSimResult(
+        {
+            f.fid: FlowResult(fid=f.fid, size=f.size, start=t0, finish=t1, tag=f.tag)
+            for f, t0, t1 in zip(flows, start.tolist(), finish.tolist())
+        },
+        float(np.max(finish)),
+        dict(zip(pop.uniq[busy].tolist(), link_bytes[busy].tolist())),
+        n_updates,
+        cut_rec,
+    )
+    if sdc is not None:
+        out.annotate_sdc(sdc, flows)
+    return out
 
 
 def waterfill_csr(
@@ -597,12 +873,7 @@ class FlowSim:
         lazy_frac: float = 0.0,
         incremental: "bool | str" = "auto",
     ):
-        if isinstance(capacities, Mapping):
-            self._cap_of: CapacityFn = capacities.__getitem__
-        elif callable(capacities):
-            self._cap_of = capacities
-        else:
-            raise ConfigError("capacities must be a mapping or callable")
+        self._cap_of = _capacity_fn(capacities)
         if batch_tol < 0:
             raise ConfigError(f"batch_tol must be >= 0, got {batch_tol}")
         if fair_tol < 0:
@@ -618,95 +889,6 @@ class FlowSim:
         self.fair_tol = float(fair_tol)
         self.lazy_frac = float(lazy_frac)
         self.incremental = incremental
-        self._default_cap = min(params.stream_cap, params.mem_bw)
-
-    # ------------------------------------------------------------------ setup
-
-    def _index_flows(self, flows: Sequence[Flow]):
-        fid_to_idx: dict[FlowId, int] = {}
-        for i, f in enumerate(flows):
-            if f.fid in fid_to_idx:
-                raise ConfigError(f"duplicate flow id {f.fid!r}")
-            fid_to_idx[f.fid] = i
-        return fid_to_idx
-
-    def _compact_links(self, flows: Sequence[Flow]):
-        """Build the real-link half of the incidence matrix in one pass.
-
-        Maps global link ids to dense indices via one ``np.unique`` over
-        the concatenation of every flow's precomputed hop→link-id array
-        (:attr:`Flow.path_arr`), fetches each distinct link's capacity
-        exactly once, and returns CSR arrays:
-
-        * ``link_index`` — global id → dense index (for capacity events),
-        * ``uniq`` — dense index → global id,
-        * ``caps`` — per-dense-link capacity,
-        * ``real_flat``/``real_ptr``/``real_lens`` — the CSR incidence of
-          real links (``real_flat[real_ptr[i]:real_ptr[i+1]]`` is flow
-          ``i``'s dense link row).
-
-        The structural half (everything but ``caps``) depends only on
-        the flows' routes, so it is memoized across runs — resilience
-        retry rounds and repeated scenarios re-submit identical flow
-        populations under *different* capacity functions, and only the
-        capacity fetch + validation rerun on a cache hit.
-        """
-        n = len(flows)
-        key = tuple(f.path for f in flows)
-        hit = _LINK_STRUCT_CACHE.get(key)
-        if hit is None:
-            real_lens = np.fromiter(
-                (len(f.path) for f in flows), dtype=np.int64, count=n
-            )
-            real_ptr = np.zeros(n + 1, dtype=np.int64)
-            np.cumsum(real_lens, out=real_ptr[1:])
-            if real_ptr[-1]:
-                flat_g = np.concatenate([f.path_arr for f in flows])
-            else:
-                flat_g = _EMPTY_I64
-            uniq, real_flat = np.unique(flat_g, return_inverse=True)
-            real_flat = real_flat.astype(np.int64, copy=False)
-            link_index = {int(g): k for k, g in enumerate(uniq)}
-            hit = (link_index, uniq, real_flat, real_ptr, real_lens)
-            _LINK_STRUCT_CACHE.put(key, hit)
-        link_index, uniq, real_flat, real_ptr, real_lens = hit
-        caps = np.array([float(self._cap_of(int(g))) for g in uniq], dtype=np.float64)
-        bad = np.flatnonzero(caps <= 0)
-        if len(bad):
-            e = int(np.flatnonzero(np.isin(real_flat, bad))[0])
-            i = int(np.searchsorted(real_ptr, e, side="right")) - 1
-            g = int(uniq[real_flat[e]])
-            raise ConfigError(
-                f"flow {flows[i].fid!r}: route crosses link {g} with "
-                f"non-positive capacity {caps[real_flat[e]]} (link is down); "
-                f"exclude the path or heal the link before submitting"
-            )
-        return link_index, uniq, caps, real_flat, real_ptr, real_lens
-
-    # ------------------------------------------------------------------ fairness
-
-    def _waterfill(
-        self,
-        caps_full: np.ndarray,
-        flat: np.ndarray,
-        ptr: np.ndarray,
-        lens: np.ndarray,
-        t_flow: np.ndarray,
-        t_ptr: np.ndarray,
-        t_lens: np.ndarray,
-        frozen: np.ndarray,
-        nfl0: np.ndarray,
-        nf: int,
-        n_real: int,
-        freeze_log: "list | None" = None,
-        rows_unique: bool = True,
-    ) -> np.ndarray:
-        """Instance entry point of :func:`waterfill_csr` (adds ``fair_tol``)."""
-        return waterfill_csr(
-            caps_full, flat, ptr, lens, t_flow, t_ptr, t_lens, frozen,
-            nfl0, nf, n_real, freeze_log=freeze_log, rows_unique=rows_unique,
-            fair_tol=self.fair_tol,
-        )
 
     # ------------------------------------------------------------------ run
 
@@ -776,141 +958,25 @@ class FlowSim:
             return FlowSimResult({}, 0.0, {}, 0)
         if t_base < 0:
             raise ConfigError(f"t_base must be >= 0, got {t_base}")
-        if cancel_every < 1:
-            raise ConfigError(f"cancel_every must be >= 1, got {cancel_every}")
-        if cancel_check is None:
-            scope = current_scope()
-            if scope is not None:
-                cancel_check = scope.check
-        n_since_check = 0
+        poll = _cancel_poller(cancel_check, cancel_every)
         if probe is not None:
             probe.rebase(t_base)
-        # Structural arrays (both incidence CSRs, the dependency DAG)
-        # depend only on the flows' identities — fids, routes, deps —
-        # not on capacities or payloads, so identical flow populations
-        # (resilience retry rounds, repeated scenarios) reuse them from
-        # the LRU memo; capacities are refetched fresh every run.
-        skey = tuple((f.fid, f.path, f.deps) for f in flows)
-        struct: "_RunStructure | None" = _RUN_STRUCT_CACHE.get(skey)
-        if struct is not None:
-            fid_to_idx = struct.fid_to_idx
-        else:
-            fid_to_idx = self._index_flows(flows)
-        link_index, uniq, caps, real_flat, real_ptr, real_lens = self._compact_links(
-            flows
-        )
+        pop = _population(flows)
+        caps = _link_caps(self._cap_of, pop, flows)
+        events = _checked_events(capacity_events)
+        cuts = _CutSchedule(cutoffs, pop.fid_to_idx)
         n = len(flows)
         nl = len(caps)
-        events = sorted(capacity_events or ())
-        for e in events:
-            if not isinstance(e, CapacityEvent):
-                raise ConfigError(
-                    f"capacity_events must contain CapacityEvent records, got {e!r}"
-                )
-
-        # Cutoff snapshots: per-flow delivered-bytes attribution times.
-        cut_map: dict[float, list[int]] = {}
-        cut_rec: dict[FlowId, float] = {}
-        if cutoffs:
-            for fid, t_cut in cutoffs.items():
-                i = fid_to_idx.get(fid)
-                if i is None:
-                    raise ConfigError(f"cutoff names unknown flow {fid!r}")
-                t_cut = float(t_cut)
-                if t_cut < 0:
-                    raise ConfigError(
-                        f"flow {fid!r}: cutoff time must be >= 0, got {t_cut}"
-                    )
-                if np.isfinite(t_cut):
-                    cut_map.setdefault(t_cut, []).append(i)
-        cut_times = sorted(cut_map)
-        cp = 0  # next unapplied cutoff time
-
-        if struct is None:
-            # Dependency DAG in CSR form:
-            # child_flat[child_ptr[j]:child_ptr[j+1]] are the flows
-            # waiting on flow j.
-            dep_count0 = np.zeros(n, dtype=np.int64)
-            child_lens = np.zeros(n, dtype=np.int64)
-            dep_pairs: list[tuple[int, int]] = []  # (parent, child)
-            for i, f in enumerate(flows):
-                for dep in f.deps:
-                    j = fid_to_idx.get(dep)
-                    if j is None:
-                        raise ConfigError(
-                            f"flow {f.fid!r} depends on unknown flow {dep!r}"
-                        )
-                    if j == i:
-                        raise ConfigError(f"flow {f.fid!r} depends on itself")
-                    dep_pairs.append((j, i))
-                    child_lens[j] += 1
-                    dep_count0[i] += 1
-            child_ptr = np.zeros(n + 1, dtype=np.int64)
-            np.cumsum(child_lens, out=child_ptr[1:])
-            child_flat = np.empty(len(dep_pairs), dtype=np.int64)
-            fill = child_ptr[:-1].copy()
-            for j, i in dep_pairs:
-                child_flat[fill[j]] = i
-                fill[j] += 1
-        else:
-            dep_count0 = struct.dep_count0
-            child_lens = struct.child_lens
-            child_ptr = struct.child_ptr
-            child_flat = struct.child_flat
-        dep_count = dep_count0.copy()  # consumed as dependencies release
-
-        size_arr = np.array([f.size for f in flows], dtype=np.float64)
-        start_arr = np.array([f.start_time for f in flows], dtype=np.float64)
-        delay_arr = np.array([f.delay for f in flows], dtype=np.float64)
+        uniq, link_index, rows_unique = pop.uniq, pop.link_index, pop.rows_unique
+        real_flat, real_ptr, real_lens = pop.real_flat, pop.real_ptr, pop.real_lens
+        flat, ptr, lens_full = pop.flat, pop.ptr, pop.lens_full
+        t_flow, t_ptr, t_lens = pop.t_flow, pop.t_ptr, pop.t_lens
+        child_flat, child_ptr, child_lens = pop.child_flat, pop.child_ptr, pop.child_lens
+        dep_count = pop.dep_count0.copy()  # consumed as dependencies release
+        size_arr, start_arr, delay_arr, rate_caps_all = _flow_vectors(flows, self.params)
         remaining = size_arr.copy()
-        rate_caps_all = np.array(
-            [f.rate_cap if f.rate_cap is not None else self._default_cap for f in flows]
-        )
-        # Global dense link space: real links, then one virtual cap link
-        # per flow.  The full incidence CSR (flat/ptr/lens_full) holds
-        # each flow's real links followed by its virtual link, so every
-        # row is non-empty.
+        # Dense link space: real links, then one virtual cap link per flow.
         caps_full = np.concatenate([caps, rate_caps_all])
-        if struct is None:
-            lens_full = real_lens + 1
-            ptr = np.zeros(n + 1, dtype=np.int64)
-            np.cumsum(lens_full, out=ptr[1:])
-            flat = np.empty(int(ptr[-1]), dtype=np.int64)
-            virt_pos = ptr[1:] - 1
-            real_mask = np.ones(len(flat), dtype=bool)
-            real_mask[virt_pos] = False
-            flat[real_mask] = real_flat
-            flat[virt_pos] = nl + np.arange(n, dtype=np.int64)
-            # Transpose incidence (link → flows crossing it), built once
-            # per population: the waterfill walks saturated links' flow
-            # lists through these slices instead of scanning every
-            # active entry per filling iteration.
-            t_order = np.argsort(flat, kind="stable")
-            rep_flow = np.repeat(np.arange(n, dtype=np.int64), lens_full)
-            t_flow = rep_flow[t_order]
-            t_lens = np.bincount(flat, minlength=nl + n)
-            t_ptr = np.zeros(nl + n + 1, dtype=np.int64)
-            np.cumsum(t_lens, out=t_ptr[1:])
-            # Torus routes never reuse a directed link, so incidence rows
-            # are normally duplicate-free; verify once so the waterfill
-            # can trust single-link freeze lists without a dedup pass.
-            rows_unique = len(np.unique(flat * np.int64(n) + rep_flow)) == len(flat)
-            _RUN_STRUCT_CACHE.put(
-                skey,
-                _RunStructure(
-                    fid_to_idx, dep_count0, child_lens, child_ptr,
-                    child_flat, lens_full, ptr, flat, t_flow, t_lens,
-                    t_ptr, rows_unique,
-                ),
-            )
-        else:
-            lens_full = struct.lens_full
-            ptr = struct.ptr
-            flat = struct.flat
-            t_flow = struct.t_flow
-            t_lens = struct.t_lens
-            t_ptr = struct.t_ptr
-            rows_unique = struct.rows_unique
 
         # Incremental re-solve state (see ``incremental`` in the class
         # docstring).  ``link_load`` tracks each real dense link's total
@@ -1004,26 +1070,8 @@ class FlowSim:
 
         def check_rates_positive(idx: np.ndarray, r: np.ndarray) -> None:
             """Raise on stalled/starved flows in one freshly solved set."""
-            if not np.any(r <= 0):
-                return
-            bad = idx[r <= 0]
-            fids = [flows[int(i)].fid for i in bad]
-            down = sorted(
-                {
-                    int(uniq[k])
-                    for i in bad
-                    for k in real_flat[real_ptr[i] : real_ptr[i + 1]]
-                    if caps_full[int(k)] <= 0
-                }
-            )
-            if down:
-                raise LinkDownError(
-                    f"flows {fids} stalled: their routes cross "
-                    f"zero-capacity link(s) {down} (link down); the "
-                    f"transfers can never complete",
-                    links=tuple(down),
-                )
-            raise SimulationError(f"flows starved (zero rate): {fids}")
+            if np.any(r <= 0):
+                raise _stall_error(flows, pop, caps_full, idx[r <= 0])
 
         def finish_flows(b: np.ndarray, t: float):
             """Record completions and batch-release dependents.
@@ -1081,23 +1129,7 @@ class FlowSim:
             return moved
 
         def apply_cuts_due(t: float):
-            """Snapshot delivered bytes for every cutoff whose time arrived.
-
-            Rates are piecewise constant and every caller lands here with
-            ``remaining`` drained exactly to ``t``, so ``size - remaining``
-            *is* the bytes delivered at the cut instant — no interpolation.
-            """
-            nonlocal cp
-            while cp < len(cut_times) and cut_times[cp] <= t + 1e-18:
-                for i in cut_map[cut_times[cp]]:
-                    if done[i]:
-                        got = float(size_arr[i])
-                    else:
-                        got = float(
-                            min(size_arr[i], max(size_arr[i] - remaining[i], 0.0))
-                        )
-                    cut_rec[flows[i].fid] = got
-                cp += 1
+            cuts.apply(t, flows, size_arr, remaining, done)
 
         ep = 0  # next unapplied capacity event
 
@@ -1165,21 +1197,9 @@ class FlowSim:
             )
 
         while pending or len(act):
-            if cancel_check is not None:
-                n_since_check += 1
-                if n_since_check >= cancel_every:
-                    n_since_check = 0
-                    try:
-                        hit = cancel_check()
-                    except SimulationCancelled:
-                        get_registry().counter("flowsim.cancelled").inc()
-                        raise
-                    if hit:
-                        get_registry().counter("flowsim.cancelled").inc()
-                        raise SimulationCancelled(
-                            f"simulation cancelled by hook at T={T:.6g}s "
-                            f"({n_updates} rate updates)"
-                        )
+            if poll is not None:
+                poll(lambda: f"simulation cancelled by hook at T={T:.6g}s "
+                             f"({n_updates} rate updates)")
             if not len(act):
                 # Jump to the next activation.
                 T_new = max(T, pending[0][0])
@@ -1296,7 +1316,7 @@ class FlowSim:
                                 flat[_segment_gather(ptr, lens_full, S)],
                                 1.0,
                             )
-                            r_new = self._waterfill(
+                            r_new = waterfill_csr(
                                 caps_res, flat, ptr, lens_full, t_flow, t_ptr,
                                 t_lens, frozen_s, nfl_s, len(S), nl,
                                 rows_unique=rows_unique,
@@ -1359,7 +1379,7 @@ class FlowSim:
                         np.add.at(
                             nfl_s, flat[_segment_gather(ptr, lens_full, S)], 1.0
                         )
-                        r_new = self._waterfill(
+                        r_new = waterfill_csr(
                             caps_full, flat, ptr, lens_full, t_flow, t_ptr,
                             t_lens, frozen_s, nfl_s, len(S), nl,
                             rows_unique=rows_unique,
@@ -1383,9 +1403,10 @@ class FlowSim:
                 freed_links.clear()
                 frozen0 = np.ones(n, dtype=bool)
                 frozen0[act] = False
-                rates = self._waterfill(
+                rates = waterfill_csr(
                     caps_full, flat, ptr, lens_full, t_flow, t_ptr, t_lens,
                     frozen0, nfl_act, len(act), nl, rows_unique=rows_unique,
+                    fair_tol=self.fair_tol,
                 )[act]
                 n_updates += 1
                 check_rates_positive(act, rates)
@@ -1405,7 +1426,7 @@ class FlowSim:
             if getattr(self, "_selfcheck", False) and inc and len(act):
                 fz = np.ones(n, dtype=bool)
                 fz[act] = False
-                ref = self._waterfill(
+                ref = waterfill_csr(
                     caps_full, flat, ptr, lens_full, t_flow, t_ptr, t_lens,
                     fz, nfl_act, len(act), nl, rows_unique=rows_unique,
                 )[act]
@@ -1416,7 +1437,7 @@ class FlowSim:
                     )
 
             next_evt = events[ep].time if ep < len(events) else np.inf
-            next_cut = cut_times[cp] if cp < len(cut_times) else np.inf
+            next_cut = cuts.upcoming()
             ttf = remaining[act] / rates
             dt_complete = float(ttf.min())
             dt_act = (pending[0][0] - T) if pending else np.inf
@@ -1517,24 +1538,12 @@ class FlowSim:
                 if apply_events_due(T):
                     rates = None
 
-        if not done.all():
-            stuck = [flows[i].fid for i in range(n) if not done[i]]
-            raise SimulationError(f"dependency cycle or stuck flows: {stuck}")
         apply_cuts_due(np.inf)  # cuts past the makespan: flows fully delivered
-
-        busy = np.flatnonzero(link_bytes_arr)
-        link_bytes = {int(uniq[k]): float(link_bytes_arr[k]) for k in busy}
-        results = {
-            f.fid: FlowResult(
-                fid=f.fid,
-                size=f.size,
-                start=float(start_rec[i]),
-                finish=float(finish_rec[i]),
-                tag=f.tag,
-            )
-            for i, f in enumerate(flows)
-        }
-        makespan = float(np.max(finish_rec)) if n else 0.0
+        out = _flow_sim_result(
+            flows, pop, done, start_rec, finish_rec, link_bytes_arr, n_updates,
+            cuts.rec, sdc,
+        )
+        makespan = out.makespan
         if probe is not None:
             probe.record_final(makespan, delivered)
         tracer = get_tracer()
@@ -1572,7 +1581,4 @@ class FlowSim:
         reg.counter("flowsim.rate_updates").inc(n_updates)
         reg.counter("flowsim.capacity_events_applied").inc(ep)
         reg.counter("flowsim.delivered_bytes").inc(delivered)
-        out = FlowSimResult(results, makespan, link_bytes, n_updates, cut_rec)
-        if sdc is not None:
-            out.annotate_sdc(sdc, flows)
         return out

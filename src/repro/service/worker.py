@@ -31,8 +31,9 @@ watchdog's deadline hard-kill path is.
 
 from __future__ import annotations
 
+import multiprocessing
 import os
-import queue
+import threading
 import time
 
 from repro.service.scenarios import StageError, execute_request
@@ -42,6 +43,14 @@ from repro.util.validation import ReproError, SimulationCancelled
 #: Exit code of an injected crash (distinguishable from interpreter
 #: faults in the watchdog's restart log).
 CRASH_EXIT_CODE = 23
+
+
+def _exit_with_parent(parent) -> None:
+    """Orphan watchdog: wait on the parent's sentinel, then hard-exit.
+    ``os._exit`` skips the exit hook that joins the result queue's
+    feeder thread, which would block on a pipe nobody drains."""
+    parent.join()
+    os._exit(0)
 
 
 def _run_one(worker_id: int, msg: dict) -> dict:
@@ -90,18 +99,15 @@ def _run_one(worker_id: int, msg: dict) -> dict:
 
 def worker_main(worker_id: int, req_q, res_q) -> None:
     """Loop: take one dispatch, run it, report one result.  Exits on the
-    ``None`` sentinel — or when orphaned (the parent was SIGKILLed and
-    will never send one; without this check a killed ``repro batch``
-    would leave workers blocked on their queues forever).  Top-level so
-    it pickles under spawn."""
-    parent = os.getppid()
+    ``None`` sentinel — or when orphaned, through a watchdog thread that
+    fires whatever the loop is doing (a SIGKILLed ``repro batch`` never
+    sends the sentinel, and an injected hang never returns).  Top-level
+    so it pickles under spawn."""
+    parent = multiprocessing.parent_process()
+    if parent is not None:
+        threading.Thread(target=_exit_with_parent, args=(parent,), daemon=True).start()
     while True:
-        try:
-            msg = req_q.get(timeout=1.0)
-        except queue.Empty:
-            if os.getppid() != parent:
-                return
-            continue
+        msg = req_q.get()
         if msg is None:
             return
         res_q.put(_run_one(worker_id, msg))

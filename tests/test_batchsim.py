@@ -12,12 +12,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.network.batchsim import BatchFlowSim, simulate_many
+from repro.machine.faults import SDCModel
+from repro.network.batchsim import BatchFlowSim
 from repro.network.flow import Flow
-from repro.network.flowsim import FlowSim, uniform_capacities
+from repro.network.flowsim import CapacityEvent, FlowSim, uniform_capacities
 from repro.network.params import NetworkParams
 from repro.obs.metrics import get_registry
-from repro.util.validation import ConfigError
+from repro.util.validation import ConfigError, SimulationError
 
 P = NetworkParams(
     link_bw=100.0,
@@ -50,11 +51,52 @@ def mk_scenario(seed, n_flows):
     return uniform_capacities(P.link_bw), flows
 
 
+# A faulted scenario: mk_scenario's flows plus capacity events (time,
+# link, new capacity — zero takes the link down, link 5 carries no flow)
+# and cutoffs (flow index modulo the flow count, time), optionally under
+# a silent-corruption model.
+faulted_specs = st.lists(
+    st.tuples(
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.integers(min_value=1, max_value=9),
+        st.lists(
+            st.tuples(
+                st.floats(min_value=0.0, max_value=40.0),
+                st.integers(min_value=0, max_value=5),
+                st.sampled_from([0.0, 10.0, 50.0, 200.0]),
+            ),
+            max_size=3,
+        ),
+        st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=8),
+                st.floats(min_value=0.0, max_value=60.0),
+            ),
+            max_size=3,
+        ),
+        st.booleans(),
+    ),
+    min_size=1,
+    max_size=6,
+)
+
+
+def mk_faulted(spec):
+    """``(capacities, flows, events, cutoffs, sdc)`` for one faulted spec."""
+    seed, n_flows, evs, cuts, corrupt = spec
+    caps, flows = mk_scenario(seed, n_flows)
+    events = [CapacityEvent(time=t, link=l, capacity=c) for t, l, c in evs]
+    cutoffs = {f"f{i % n_flows}": t for i, t in cuts}
+    sdc = SDCModel(flip_links={0: 0.25, 3: 0.1}, seed=seed) if corrupt else None
+    return caps, flows, events, cutoffs, sdc
+
+
 def assert_byte_identical(batch_res, solo_res):
     assert batch_res.results == solo_res.results  # exact dataclass equality
     assert batch_res.makespan == solo_res.makespan
     assert batch_res.link_bytes == solo_res.link_bytes
     assert batch_res.n_rate_updates == solo_res.n_rate_updates
+    assert batch_res.cutoff_bytes == solo_res.cutoff_bytes
 
 
 class TestByteIdentity:
@@ -76,6 +118,47 @@ class TestByteIdentity:
         for (caps, flows), res in zip(scenarios, batch):
             solo = FlowSim(caps, P, incremental=False).run(flows)
             assert_byte_identical(res, solo)
+
+    @settings(max_examples=25, deadline=None)
+    @given(faulted_specs)
+    def test_faulted_batches_equal_serial_full_resolve(self, specs):
+        """Capacity events (links taken down included), cutoffs, SDC
+        annotation and captured failures match serial full re-solves
+        bit-for-bit — on a cold batch and again once every scenario's
+        flow population is cached."""
+        scens = [mk_faulted(spec) for spec in specs]
+
+        def batched():
+            return BatchFlowSim(P).simulate_many(
+                [(caps, flows) for caps, flows, _, _, _ in scens],
+                events=[s[2] for s in scens],
+                cutoffs=[s[3] for s in scens],
+                sdc=[s[4] for s in scens],
+                on_error="capture",
+            )
+
+        cold = batched()
+        solo = []
+        for caps, flows, events, cutoffs, sdc in scens:
+            try:
+                solo.append(
+                    FlowSim(caps, P, incremental=False).run(
+                        flows, events, cutoffs=cutoffs, sdc=sdc
+                    )
+                )
+            except SimulationError as exc:  # a LinkDownError, mostly
+                solo.append(exc)
+        warm = batched()
+        for (_, flows, _, _, _), s, c, w in zip(scens, solo, cold, warm):
+            for b in (c, w):
+                if isinstance(s, Exception):
+                    assert type(b) is type(s) and str(b) == str(s)
+                    continue
+                assert_byte_identical(b, s)
+                for f in flows:
+                    assert b.wire_flip_probability(f.fid) == (
+                        s.wire_flip_probability(f.fid)
+                    )
 
     @settings(max_examples=15, deadline=None)
     @given(
@@ -154,12 +237,6 @@ class TestEdgesAndErrors:
         with pytest.raises(ConfigError):
             BatchFlowSim(P).simulate_many([({0: 0.0}, flows)])
 
-    def test_module_level_convenience(self):
-        caps, flows = mk_scenario(3, 5)
-        a = simulate_many([(caps, flows)], P)
-        solo = FlowSim(caps, P, incremental=False).run(flows)
-        assert_byte_identical(a[0], solo)
-
     def test_counters(self):
         caps, flows = mk_scenario(11, 3)
         before = get_registry().snapshot()["counters"]
@@ -172,3 +249,45 @@ class TestEdgesAndErrors:
         assert delta("flowsim.batch_runs") == 1
         assert delta("flowsim.batch_scenarios") == 2
         assert delta("flowsim.flows_completed") == 6
+
+
+NAN = float("nan")
+
+
+def _one_flow(**kw):
+    return [Flow(fid="a", size=kw.pop("size", 100.0), path=(0,), **kw)]
+
+
+# Each case builds (capacities, flows, events); building is part of the
+# checked call, since invalid records are rejected on construction.
+NON_FINITE = {
+    "flow-size": lambda: ({0: 100.0}, _one_flow(size=NAN), None),
+    "flow-size-inf": lambda: ({0: 100.0}, _one_flow(size=float("inf")), None),
+    "flow-delay": lambda: ({0: 100.0}, _one_flow(delay=NAN), None),
+    "flow-start-time": lambda: ({0: 100.0}, _one_flow(start_time=NAN), None),
+    "flow-rate-cap": lambda: ({0: 100.0}, _one_flow(rate_cap=NAN), None),
+    "link-capacity": lambda: ({0: NAN}, _one_flow(), None),
+    "event-capacity": lambda: (
+        {0: 100.0}, _one_flow(), [CapacityEvent(time=0.5, link=0, capacity=NAN)]
+    ),
+    "event-time": lambda: (
+        {0: 100.0}, _one_flow(), [CapacityEvent(time=NAN, link=0, capacity=50.0)]
+    ),
+}
+
+ENGINES = {
+    "solo": lambda caps, flows, events: FlowSim(caps, P).run(flows, events),
+    "batched": lambda caps, flows, events: BatchFlowSim(P).simulate_many(
+        [(caps, flows)], events=[events]
+    ),
+}
+
+
+@pytest.mark.timeout(30)
+@pytest.mark.parametrize("engine", sorted(ENGINES))
+@pytest.mark.parametrize("case", sorted(NON_FINITE))
+def test_non_finite_input_rejected(case, engine):
+    """NaN (or infinite) sizes, times and capacities are configuration
+    errors in both engines — never a hang or a crash inside the kernel."""
+    with pytest.raises(ConfigError):
+        ENGINES[engine](*NON_FINITE[case]())

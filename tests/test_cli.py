@@ -120,3 +120,14 @@ class TestFaults:
         # (the argparse convention), never a traceback.
         assert main(["faults", "--degraded", "10000000"]) == 2
         assert "exceeds" in capsys.readouterr().out
+
+
+class TestTrace:
+    @pytest.mark.timeout(120)
+    @pytest.mark.parametrize("dip", ["nan", "-1"])
+    def test_bad_dip_rejected(self, dip, capsys, tmp_path):
+        # A NaN dip is as invalid as a negative one: exit 2, one line.
+        out = tmp_path / "trace.json"
+        assert main(["trace", "p2p", "--dip", dip, "--out", str(out)]) == 2
+        assert "event capacity must be >= 0" in capsys.readouterr().out
+        assert not out.exists()

@@ -1,6 +1,6 @@
 """The vectorized incidence-matrix waterfill against a retained reference.
 
-:meth:`FlowSim._waterfill` solves progressive filling over a precomputed
+:func:`waterfill_csr` solves progressive filling over a precomputed
 link×flow incidence CSR (plus its transpose) with no per-flow Python
 loops.  These tests pin its semantics to ``_waterfill_reference`` below —
 a straight per-iteration transliteration of the pre-vectorization
@@ -23,18 +23,7 @@ rows ending with the virtual link so every row is non-empty.
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro.network.flowsim import FlowSim, uniform_capacities
-from repro.network.params import NetworkParams
-
-P = NetworkParams(
-    link_bw=100.0,
-    stream_cap=80.0,
-    io_link_bw=100.0,
-    ion_storage_bw=1000.0,
-    o_msg=0.0,
-    o_fwd=0.0,
-    mem_bw=1000.0,
-)
+from repro.network.flowsim import waterfill_csr
 
 N_REAL = 5  # real links; virtual cap links are appended per flow
 
@@ -97,8 +86,8 @@ def _waterfill_reference(caps_full, rows, fair_tol=0.0, freeze_log=None):
     return rate
 
 
-def _call_vectorized(sim, caps_full, rows, active):
-    """Drive ``FlowSim._waterfill`` exactly as :meth:`FlowSim.run` does."""
+def _call_vectorized(caps_full, rows, active, fair_tol=0.0):
+    """Drive :func:`waterfill_csr` exactly as :meth:`FlowSim.run` does."""
     n = len(rows)
     lens = np.fromiter((len(r) for r in rows), dtype=np.int64, count=n)
     ptr = np.zeros(n + 1, dtype=np.int64)
@@ -118,7 +107,7 @@ def _call_vectorized(sim, caps_full, rows, active):
         flat[~frozen0[rep_flow]], minlength=nlinks
     ).astype(np.float64)
     log = []
-    rate = sim._waterfill(
+    rate = waterfill_csr(
         caps_full,
         flat,
         ptr,
@@ -132,6 +121,7 @@ def _call_vectorized(sim, caps_full, rows, active):
         N_REAL,
         freeze_log=log,
         rows_unique=rows_unique,
+        fair_tol=fair_tol,
     )
     return rate, log
 
@@ -185,8 +175,7 @@ def _levels_of(log):
 
 def _check_against_reference(specs, caps, fair_tol):
     rows, caps_full, active = _scenario(specs, caps)
-    sim = FlowSim(uniform_capacities(P.link_bw), P, fair_tol=fair_tol)
-    rate_vec, log_vec = _call_vectorized(sim, caps_full, rows, active)
+    rate_vec, log_vec = _call_vectorized(caps_full, rows, active, fair_tol)
 
     ref_log = []
     rate_ref = _waterfill_reference(
@@ -271,7 +260,6 @@ class TestVectorizedWaterfill:
             np.array([1, 3], dtype=np.int64),
         ]
         active = np.array([0, 1], dtype=np.int64)
-        sim = FlowSim(uniform_capacities(P.link_bw), P)
-        rate_vec, _ = _call_vectorized(sim, caps, rows, active)
+        rate_vec, _ = _call_vectorized(caps, rows, active)
         rate_ref = _waterfill_reference(caps, rows)
         np.testing.assert_allclose(rate_vec[:2], rate_ref, rtol=1e-9)

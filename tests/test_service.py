@@ -4,7 +4,13 @@ Worker pools spawn real processes, so tests share service instances
 where possible and keep pools small.
 """
 
+import os
+import signal
+import subprocess
+import sys
+import textwrap
 import time
+from pathlib import Path
 
 import pytest
 
@@ -161,6 +167,66 @@ class TestCrashes:
         assert res.error.startswith("poison:")
         assert res.attempts == 2
         assert get_registry().counter("service.poison_quarantined").value > poisoned0
+
+
+def _alive(pid: int) -> bool:
+    """True while ``pid`` runs (a zombie awaiting its reaper counts as gone)."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc"), reason="needs /proc")
+class TestOrphanedWorker:
+    # The parent: spawns one worker, proves it is serving with one real
+    # request, hands it an injected hang, then waits to be SIGKILLed.
+    PARENT = textwrap.dedent("""
+        import multiprocessing, time
+        from repro.service.worker import worker_main
+        ctx = multiprocessing.get_context("spawn")
+        req_q, res_q = ctx.Queue(), ctx.Queue()
+        proc = ctx.Process(target=worker_main, args=(0, req_q, res_q))
+        proc.start()
+        req_q.put({"req": {"id": "warm", "kind": "spin", "params": {}}})
+        res_q.get(timeout=60)
+        req_q.put({"req": {"id": "stuck", "kind": "spin", "inject": "hang"}})
+        print(proc.pid, flush=True)
+        time.sleep(600)
+    """)
+
+    def test_worker_exits_when_parent_is_sigkilled_mid_hang(self, tmp_path):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(
+            Path(__file__).resolve().parents[1] / "src"
+        ) + os.pathsep + env.get("PYTHONPATH", "")
+        log = tmp_path / "parent.err"  # the resource tracker writes here too
+        with open(log, "w") as err:
+            parent = subprocess.Popen(
+                [sys.executable, "-c", self.PARENT], env=env,
+                stdout=subprocess.PIPE, stderr=err, text=True,
+            )
+        worker = None
+        try:
+            line = parent.stdout.readline()
+            assert line.strip(), log.read_text()
+            worker = int(line)
+            time.sleep(0.5)  # the idle worker takes the hang at once
+            assert _alive(worker)
+            parent.send_signal(signal.SIGKILL)
+            parent.wait(timeout=30)
+            deadline = time.monotonic() + 5.0
+            while _alive(worker) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert not _alive(worker), "orphaned worker still running"
+        finally:
+            if parent.poll() is None:
+                parent.kill()
+                parent.wait(timeout=30)
+            parent.stdout.close()
+            if worker is not None and _alive(worker):
+                os.kill(worker, signal.SIGKILL)
 
 
 class TestBreakersAndDegradedMode:
