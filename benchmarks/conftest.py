@@ -50,14 +50,6 @@ def save_figure():
 
 
 @pytest.fixture(scope="session")
-def system512():
-    """512-node Mira partition shared by the simulator microbenchmarks."""
-    from repro.machine import mira_system
-
-    return mira_system(nnodes=512)
-
-
-@pytest.fixture(scope="session")
 def io_cores():
     """Core grid for Figure 10."""
     if full_scale():

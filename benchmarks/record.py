@@ -1,27 +1,40 @@
-"""Record simulator performance numbers into ``BENCH_simulator.json``.
+"""Record the repository's timing comparisons as paired intervals.
 
-Runs the microbenchmarks from :mod:`bench_simulator_perf` through a
-small stand-in for the pytest-benchmark fixture (fixed warmup + reps,
-``stats.stats.mean``/``.stddev`` attributes), harvests the ``bench.*``
-gauges they record, measures the vectorized simulator against the
-retained seed implementation *within the same process with interleaved
-repetitions* (so machine-load drift hits both sides equally), measures
-campaign throughput (scenarios/sec) serial vs batched
-(:class:`~repro.network.batchsim.BatchFlowSim`), and dumps everything
-as ``BENCH_simulator.json`` at the repository root.
+Every comparison times two ways of doing the same work in one process:
+both sides are warmed, then ``--reps`` repetitions run with the side
+that goes first alternating, so machine-load drift hits both sides of a
+rep alike.  A record keeps the per-rep times, the median of the per-rep
+ratios, its distribution-free 95% interval (order statistics, so
+``--reps`` >= 6) and a verdict (:func:`repro.loadgen.stats.paired_ratio`).
+Gates read the interval, never a mean, a best time or a single run.  A
+gate holds when the whole interval meets its rule; otherwise a speed
+claim fails, while a cost budget fails only when the whole interval
+breaks it and is "unresolved" when the interval straddles it.
 
-``--service`` additionally runs the adaptive-vs-static service overload
-soak (:func:`repro.loadgen.bench.service_benchmark`) and writes its
-``bench-service/1`` report to ``BENCH_service.json`` — CI's
-``load-smoke`` job records only that (``--skip-perf --service``);
-``docs/LOAD_TESTING.md`` explains how to read it.
+Records:
 
-Usage (no pytest required)::
+* ``BENCH_simulator.json`` (``bench-simulator/2``, written unless
+  ``--skip-perf``): ``eventloop_1k_exact`` (per-rep times and the
+  interval of their median), ``campaign_throughput``,
+  ``tracing_overhead`` (enabled / disabled) and ``incremental_auto_gate``;
+* ``BENCH_resilience.json`` (``bench-resilience/1``): ``--chaos-service``
+  records ``faulted_campaign``, ``verification_overhead``,
+  ``recovered_goodput`` and ``chaos_service``; ``--resilience`` records
+  the partial-progress retransmit benchmark under ``resilience``.  A run
+  replaces only the keys it measured;
+* ``BENCH_service.json`` (``bench-service/1``): ``--service`` runs the
+  adaptive-vs-static overload soak
+  (:func:`repro.loadgen.bench.service_benchmark`).
+
+End-to-end wall times and their per-layer split are the benchmark in
+``benchmarks/e2e`` (``python3 benchmarks/e2e/run.py``).  The script
+exits non-zero when any gate fails.
+
+Usage::
 
     python benchmarks/record.py [--out PATH] [--reps N]
-
-CI's ``perf-smoke`` job runs this on every push and uploads the JSON as
-an artifact; ``docs/PERFORMANCE.md`` explains how to read the file.
+    python benchmarks/record.py --skip-perf --chaos-service --resilience
+    python benchmarks/record.py --skip-perf --service
 """
 
 from __future__ import annotations
@@ -32,77 +45,110 @@ import statistics
 import sys
 import time
 from pathlib import Path
-from types import SimpleNamespace
+
+import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-import bench_simulator_perf as bench  # noqa: E402
-from _seed_flowsim import FlowSim as SeedFlowSim  # noqa: E402
-
+from repro.loadgen.stats import median_ci, paired_ratio  # noqa: E402
 from repro.machine import mira_system  # noqa: E402
-from repro.network.flowsim import FlowSim  # noqa: E402
+from repro.network.flow import Flow  # noqa: E402
+from repro.network.flowsim import FlowSim, uniform_capacities  # noqa: E402
 from repro.network.params import MIRA_PARAMS  # noqa: E402
-from repro.obs import get_registry  # noqa: E402
 from repro.util.atomicio import atomic_write_text  # noqa: E402
 from repro.util.log import get_logger, setup_cli_logging  # noqa: E402
+from repro.util.units import MiB  # noqa: E402
 
 log = get_logger(__name__)
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 DEFAULT_OUT = REPO_ROOT / "BENCH_simulator.json"
+SIM_SCHEMA = "bench-simulator/2"
+RES_SCHEMA = "bench-resilience/1"
 
 
-class BenchmarkShim:
-    """Minimal pytest-benchmark fixture stand-in.
+def _paired(name_a: str, run_a, name_b: str, run_b, reps: int):
+    """Time ``run_a`` against ``run_b`` as ``reps`` alternating pairs.
 
-    Calls the function ``warmup`` times unmeasured, then ``reps`` times
-    measured, and exposes the timings as ``stats.stats.mean`` /
-    ``stats.stats.stddev`` — the attributes ``bench_simulator_perf``'s
-    ``_record`` helper reads to populate the ``bench.*`` gauges.
+    Returns the record (``<name>_s`` per-rep times, the ``name_a /
+    name_b`` median ratio, its interval and verdict) and both sides'
+    warm-up results, for parity checks.
     """
-
-    def __init__(self, reps: int = 5, warmup: int = 1):
-        self.reps = reps
-        self.warmup = warmup
-        self.stats = None
-
-    def __call__(self, fn, *args, **kwargs):
-        result = None
-        for _ in range(self.warmup):
-            result = fn(*args, **kwargs)
-        times = []
-        for _ in range(self.reps):
+    warm = (run_a(), run_b())
+    sides = ((name_a, run_a), (name_b, run_b))
+    times: dict[str, list[float]] = {name_a: [], name_b: []}
+    for i in range(reps):
+        for name, run in sides if i % 2 == 0 else sides[::-1]:
             t0 = time.perf_counter()
-            result = fn(*args, **kwargs)
-            times.append(time.perf_counter() - t0)
-        self.stats = SimpleNamespace(
-            stats=SimpleNamespace(
-                mean=statistics.fmean(times),
-                stddev=statistics.stdev(times) if len(times) > 1 else 0.0,
-            )
+            run()
+            times[name].append(time.perf_counter() - t0)
+    rec: dict = {f"{name}_s": t for name, t in times.items()}
+    rec["ratio"] = f"{name_a} / {name_b}"
+    rec.update(paired_ratio(times[name_a], times[name_b]))
+    return rec, warm
+
+
+def _gate(name: str, rec: dict, op: str, threshold: float, *, claim: bool = False) -> bool:
+    """Judge ``rec``'s ratio interval against ``ratio op threshold``.
+
+    Holds when the whole interval meets the rule.  Otherwise a speed
+    ``claim`` fails; a cost budget fails only when the whole interval
+    breaks the rule and is "unresolved" when it straddles it.  Returns
+    False only when the gate fails.
+    """
+    lo, hi = rec["ratio_ci"]
+    if op == ">=":
+        meets, breaks = lo >= threshold, hi < threshold
+    else:
+        meets, breaks = hi <= threshold, lo > threshold
+    status = "holds" if meets else "fails" if claim or breaks else "unresolved"
+    rule = f"{rec['ratio']} {op} {threshold:.4g}"
+    rec["gate"] = {"rule": rule, "kind": "claim" if claim else "budget", "status": status}
+    log.info(
+        f"{name}: {rec['ratio']} = {rec['ratio_median']:.3f} "
+        f"[{lo:.3f}, {hi:.3f}] ({rec['verdict']}); gate {rule}: {status}"
+    )
+    return status != "fails"
+
+
+def _thousand_flows():
+    """~1,000 random flows on a 512-node Mira partition (stream caps bind)."""
+    rng = np.random.default_rng(0)
+    system = mira_system(nnodes=512)
+    nodes = rng.integers(0, 512, size=(1000, 2))
+    flows = [
+        Flow(
+            fid=i,
+            size=float(rng.integers(1, 8 * MiB)),
+            path=system.compute_path(int(a), int(b)).links,
         )
-        return result
+        for i, (a, b) in enumerate(nodes)
+        if a != b
+    ]
+    return flows, system
 
 
-def _torus_thousand_flows(n_flows: int = 1000, seed: int = 0):
-    """1,000 random flows on a bare 8x8x8 torus (512 nodes)."""
-    import numpy as np
+def _eventloop_1k_exact(sim: FlowSim, flows, reps: int) -> dict:
+    """Absolute record of the exact-mode 1k-flow event loop.
 
-    from repro.network.flow import Flow
-    from repro.routing.deterministic import DimOrderRouter
-    from repro.torus.topology import TorusTopology
-
-    topo = TorusTopology((8, 8, 8))
-    router = DimOrderRouter(topo)
-    rng = np.random.default_rng(seed)
-    flows = []
-    for i in range(n_flows):
-        src, dst = rng.choice(topo.nnodes, size=2, replace=False)
-        path = router.path(int(src), int(dst))
-        size = float(rng.integers(1, 8) * 1024 * 1024)
-        flows.append(Flow(fid=f"f{i}", size=size, path=path.links))
-    return flows
+    Every finish triggers an exact (incremental) re-solve, the engine's
+    hardest configuration.  Kept as times plus the interval of their
+    median: it has no second side to pair with.
+    """
+    sim.run(flows)  # warm caches out of the measurement
+    times = []
+    for _ in range(reps):
+        t0 = time.perf_counter()
+        sim.run(flows)
+        times.append(time.perf_counter() - t0)
+    lo, hi = median_ci(times)
+    return {
+        "flows": len(flows),
+        "times_s": times,
+        "median_s": float(np.median(times)),
+        "median_ci_s": [lo, hi],
+    }
 
 
 def _campaign_scenarios(n: int = 200, seed: int = 0):
@@ -112,9 +158,6 @@ def _campaign_scenarios(n: int = 200, seed: int = 0):
     simulator: 3-9 flows each on a small torus, with staggered starts,
     delays and a few cross-flow dependencies.
     """
-    import numpy as np
-
-    from repro.network.flow import Flow
     from repro.routing.deterministic import DimOrderRouter
     from repro.torus.topology import TorusTopology
 
@@ -141,205 +184,175 @@ def _campaign_scenarios(n: int = 200, seed: int = 0):
     return scenarios
 
 
-def _campaign_throughput(n_scenarios: int, reps: int) -> dict:
-    """Scenarios/sec, serial loop vs one batched pass, reps interleaved.
+def _small_flows(n: int = 64):
+    """``n`` staggered flows on 64 links: below the incremental threshold."""
+    rng = np.random.default_rng(0)
+    return [
+        Flow(
+            fid=i,
+            size=float(rng.integers(1, 1 << 20)),
+            path=tuple(int(link) for link in rng.choice(64, size=4, replace=False)),
+            start_time=float(rng.uniform(0, 1e-3)),
+        )
+        for i in range(n)
+    ]
 
-    Serial runs each scenario through its own :class:`FlowSim` (the
-    pre-PR-8 campaign execution model); batched stacks all of them into
-    one :class:`~repro.network.batchsim.BatchFlowSim` block-diagonal
-    solve.  Results are byte-identical either way, so this is a pure
-    dispatch-overhead measurement.
-    """
+
+def _simulator_record(reps: int):
+    """The ``bench-simulator/2`` document and whether every gate passed."""
     from repro.network.batchsim import BatchFlowSim
+    from repro.obs import TimeSeriesProbe, Tracer, use_tracer
 
-    scenarios = _campaign_scenarios(n_scenarios)
+    ok = True
+    flows, system = _thousand_flows()
+    sim = FlowSim(system.capacity, MIRA_PARAMS)
+    log.info("timing the exact 1k-flow event loop ...")
+    eventloop = _eventloop_1k_exact(sim, flows, reps)
+    lo, hi = eventloop["median_ci_s"]
+    log.info(
+        f"eventloop_1k_exact: median {eventloop['median_s'] * 1e3:.1f} ms "
+        f"[{lo * 1e3:.1f}, {hi * 1e3:.1f}] over {reps} reps"
+    )
+
+    def run_enabled():
+        probe = TimeSeriesProbe(interval=1e-4, max_samples=2000)
+        with use_tracer(Tracer()):
+            return sim.run(flows, probe=probe)
+
+    # The hooks must be free when observability is off: the disabled
+    # run may cost at most 2% over the fully-enabled (tracer + probe)
+    # one, i.e. the budget is enabled / disabled >= 1 / 1.02.
+    tracing, _ = _paired("enabled", run_enabled, "disabled", lambda: sim.run(flows), reps)
+    ok &= _gate("tracing_overhead", tracing, ">=", 1 / 1.02)
+
+    # Below _INC_AUTO_MIN flows "auto" runs the full re-solve, so it must
+    # not be slower than forcing it.
+    small = _small_flows()
+    caps = uniform_capacities(MIRA_PARAMS.link_bw)
+    auto_gate, _ = _paired(
+        "auto", lambda: FlowSim(caps, MIRA_PARAMS, incremental="auto").run(small),
+        "full", lambda: FlowSim(caps, MIRA_PARAMS, incremental=False).run(small),
+        reps,
+    )
+    auto_gate["flows"] = len(small)
+    ok &= _gate("incremental_auto_gate", auto_gate, "<=", 1.25)
+
+    # Serial runs each scenario through its own FlowSim; batched stacks
+    # all of them into one block-diagonal solve.  Results are
+    # byte-identical, so this measures dispatch overhead alone.
+    scenarios = _campaign_scenarios(200)
     batcher = BatchFlowSim(MIRA_PARAMS)
+    campaign, _ = _paired(
+        "serial", lambda: [FlowSim(c, MIRA_PARAMS).run(f) for c, f in scenarios],
+        "batched", lambda: batcher.simulate_many(scenarios),
+        reps,
+    )
+    campaign["scenarios"] = len(scenarios)
+    ok &= _gate("campaign_throughput", campaign, ">=", 1.0, claim=True)
 
-    def run_batched():
-        return batcher.simulate_many(scenarios)
-
-    def run_serial():
-        return [FlowSim(c, MIRA_PARAMS).run(f) for c, f in scenarios]
-
-    run_batched()  # warm both out of the measurement
-    run_serial()
-    t_b, t_s = [], []
-    for _ in range(reps):
-        t0 = time.perf_counter()
-        run_batched()
-        t_b.append(time.perf_counter() - t0)
-        t0 = time.perf_counter()
-        run_serial()
-        t_s.append(time.perf_counter() - t0)
-    b_mean, s_mean = statistics.fmean(t_b), statistics.fmean(t_s)
-    return {
-        "scenarios": n_scenarios,
-        "serial_mean_s": s_mean,
-        "batched_mean_s": b_mean,
-        "serial_scen_per_s": n_scenarios / s_mean,
-        "batched_scen_per_s": n_scenarios / b_mean,
-        "speedup_mean": s_mean / b_mean,
-        "speedup_best": min(t_s) / min(t_b),
+    doc = {
+        "schema": SIM_SCHEMA,
+        "python": sys.version.split()[0],
         "reps": reps,
+        "eventloop_1k_exact": eventloop,
+        "tracing_overhead": tracing,
+        "incremental_auto_gate": auto_gate,
+        "campaign_throughput": campaign,
     }
+    return doc, ok
 
 
-def _faulted_campaign_throughput(
-    n_scenarios: int,
-    reps: int,
-    *,
-    nnodes: int = 64,
-    nbytes: int = 1 << 20,
-    fault_frac: float = 0.10,
-    seed: int = 0,
-) -> dict:
-    """Fault-tolerant campaign throughput, batched vs forced-serial.
-
-    ``fault_frac`` of the scenarios carry a seeded link-fault trace
-    (capacity drops and hard link-down events mid-transfer); all run
-    through the resilience executor.  Forced-serial executes one
-    :func:`run_resilient_transfer` per scenario (the pre-PR-9 model);
-    batched hands the whole campaign to
-    :func:`run_resilient_transfer_many`, which solves each wave's flow
-    simulations in one block-diagonal pass.  Outcomes are required to
-    be byte-identical, and the recorded speedup is CI's regression gate.
-    """
-    import numpy as np
-
+def _resilient_campaign(system, n_scenarios: int, nbytes: int, seed: int, fault_frac: float):
+    """Transfer sets cycling p2p / group / fan-in geometries, and a seeded
+    link-fault trace (capacity drops and hard link-down events
+    mid-transfer) on ``fault_frac`` of them."""
     from repro.machine.faults import random_fault_trace
-    from repro.resilience import run_resilient_transfer
     from repro.resilience.chaos import geometry_specs
-    from repro.resilience.executor import run_resilient_transfer_many
 
-    system = mira_system(nnodes=nnodes)
-    geometries = ("p2p", "group", "fanin")
     spec_sets, traces = [], []
     for i in range(n_scenarios):
         rng = np.random.default_rng([seed, i])
-        geometry = geometries[i % len(geometries)]
         size = float(nbytes) * float(rng.integers(1, 4))
-        spec_sets.append(geometry_specs(system, geometry, size))
+        spec_sets.append(geometry_specs(system, ("p2p", "group", "fanin")[i % 3], size))
         traces.append(
-            random_fault_trace(
-                system.topology, 3, hard_fraction=0.5, seed=[seed, i]
-            )
+            random_fault_trace(system.topology, 3, hard_fraction=0.5, seed=[seed, i])
             if rng.random() < fault_frac
             else None
         )
+    return spec_sets, traces
 
-    def run_batched():
-        return run_resilient_transfer_many(system, spec_sets, traces=traces)
 
-    def run_serial():
-        return [
+def _faulted_campaign(
+    n_scenarios: int, reps: int, *, nnodes: int = 64, nbytes: int = 1 << 20,
+    fault_frac: float = 0.10, seed: int = 0,
+) -> dict:
+    """Fault-tolerant campaign, forced-serial vs batched.
+
+    Serial runs one :func:`run_resilient_transfer` per scenario; batched
+    hands the campaign to :func:`run_resilient_transfer_many`.  Outcomes
+    must be byte-identical.
+    """
+    from repro.resilience import run_resilient_transfer
+    from repro.resilience.executor import run_resilient_transfer_many
+
+    system = mira_system(nnodes=nnodes)
+    spec_sets, traces = _resilient_campaign(system, n_scenarios, nbytes, seed, fault_frac)
+    rec, (serial_out, batched_out) = _paired(
+        "serial",
+        lambda: [
             run_resilient_transfer(system, specs, trace=trace)
             for specs, trace in zip(spec_sets, traces)
-        ]
-
-    batched_out = run_batched()  # warm both out of the measurement
-    serial_out = run_serial()
-
-    parity = 0.0
-    for b, s in zip(batched_out, serial_out):
-        parity = max(
-            parity,
+        ],
+        "batched",
+        lambda: run_resilient_transfer_many(system, spec_sets, traces=traces),
+        reps,
+    )
+    rec["parity_max_abs"] = max(
+        max(
             abs(b.makespan - s.makespan),
             abs(b.delivered_bytes - s.delivered_bytes),
             abs(b.residue_bytes - s.residue_bytes),
         )
-
-    t_b, t_s = [], []
-    for _ in range(reps):
-        t0 = time.perf_counter()
-        run_batched()
-        t_b.append(time.perf_counter() - t0)
-        t0 = time.perf_counter()
-        run_serial()
-        t_s.append(time.perf_counter() - t0)
-    b_mean, s_mean = statistics.fmean(t_b), statistics.fmean(t_s)
-    return {
-        "scenarios": n_scenarios,
-        "nnodes": nnodes,
-        "fault_frac": fault_frac,
-        "n_faulted": sum(1 for t in traces if t is not None),
-        "serial_mean_s": s_mean,
-        "batched_mean_s": b_mean,
-        "serial_scen_per_s": n_scenarios / s_mean,
-        "batched_scen_per_s": n_scenarios / b_mean,
-        "speedup_mean": s_mean / b_mean,
-        "speedup_best": min(t_s) / min(t_b),
-        "parity_max_abs": parity,
-        "reps": reps,
-    }
+        for b, s in zip(batched_out, serial_out)
+    )
+    rec.update(
+        scenarios=n_scenarios, nnodes=nnodes, fault_frac=fault_frac,
+        n_faulted=sum(1 for t in traces if t is not None),
+    )
+    return rec
 
 
 def _verification_overhead(
-    n_scenarios: int,
-    reps: int,
-    *,
-    nnodes: int = 64,
-    nbytes: int = 1 << 20,
+    n_scenarios: int, reps: int, *, nnodes: int = 64, nbytes: int = 1 << 20,
     seed: int = 0,
 ) -> dict:
-    """Fault-free cost of end-to-end extent verification, interleaved.
+    """Fault-free cost of end-to-end extent verification.
 
-    Runs the same fault-free campaign twice per rep: once with no SDC
-    model (verification dormant — the pre-PR behaviour) and once with a
-    *null but active* :class:`~repro.machine.faults.SDCModel` (every
-    delivered extent's checksum is recomputed and compared, nothing is
-    ever corrupted).  Verification is pure observation, so the outcomes
-    must be byte-identical; the recorded overhead fraction is the CI
-    gate (must stay <= 3%).
+    Runs one fault-free campaign without an SDC model (verification
+    dormant) and with a *null but active*
+    :class:`~repro.machine.faults.SDCModel` (every delivered extent's
+    checksum recomputed and compared, nothing corrupted).  Verification
+    is pure observation, so the outcomes must be byte-identical.
     """
-    import numpy as np
-
     from repro.machine.faults import SDCModel
-    from repro.resilience.chaos import geometry_specs
     from repro.resilience.executor import run_resilient_transfer_many
 
     system = mira_system(nnodes=nnodes)
-    geometries = ("p2p", "group", "fanin")
-    spec_sets = []
-    for i in range(n_scenarios):
-        rng = np.random.default_rng([seed, i])
-        size = float(nbytes) * float(rng.integers(1, 4))
-        spec_sets.append(geometry_specs(system, geometries[i % 3], size))
+    spec_sets, _ = _resilient_campaign(system, n_scenarios, nbytes, seed, 0.0)
     null_sdc = [SDCModel(seed=seed)] * n_scenarios
-
-    def run_plain():
-        return run_resilient_transfer_many(system, spec_sets)
-
-    def run_verified():
-        return run_resilient_transfer_many(system, spec_sets, sdc=null_sdc)
-
-    plain_out = run_plain()  # warm both out of the measurement
-    verified_out = run_verified()
-    parity = 0.0
-    for p, v in zip(plain_out, verified_out):
-        parity = max(
-            parity,
-            abs(p.makespan - v.makespan),
-            abs(p.delivered_bytes - v.delivered_bytes),
-        )
-    t_p, t_v = [], []
-    for _ in range(reps):
-        t0 = time.perf_counter()
-        run_plain()
-        t_p.append(time.perf_counter() - t0)
-        t0 = time.perf_counter()
-        run_verified()
-        t_v.append(time.perf_counter() - t0)
-    p_mean, v_mean = statistics.fmean(t_p), statistics.fmean(t_v)
-    return {
-        "scenarios": n_scenarios,
-        "nnodes": nnodes,
-        "plain_mean_s": p_mean,
-        "verified_mean_s": v_mean,
-        "overhead_frac_mean": (v_mean - p_mean) / p_mean,
-        "overhead_frac_best": (min(t_v) - min(t_p)) / min(t_p),
-        "parity_max_abs": parity,
-        "reps": reps,
-    }
+    rec, (verified_out, plain_out) = _paired(
+        "verified",
+        lambda: run_resilient_transfer_many(system, spec_sets, sdc=null_sdc),
+        "plain",
+        lambda: run_resilient_transfer_many(system, spec_sets),
+        reps,
+    )
+    rec["parity_max_abs"] = max(
+        max(abs(p.makespan - v.makespan), abs(p.delivered_bytes - v.delivered_bytes))
+        for p, v in zip(plain_out, verified_out)
+    )
+    rec.update(scenarios=n_scenarios, nnodes=nnodes)
+    return rec
 
 
 def _recovered_goodput(
@@ -389,57 +402,126 @@ def _recovered_goodput(
     }
 
 
-def _interleaved_speedup(make_new, make_seed, run, reps: int) -> dict:
-    """Mean times and speedup of ``new`` vs ``seed``, reps interleaved.
+def _chaos_service_record(reps: int, n_requests: int):
+    """The ``--chaos-service`` keys of the resilience record, and whether
+    every gate passed."""
+    import tempfile
 
-    Alternating new/seed repetitions decorrelates the ratio from slow
-    drift in machine load — the recorded speedup is a same-conditions
-    comparison, unlike two back-to-back timing blocks.
-    """
-    sim_new, sim_seed = make_new(), make_seed()
-    run(sim_new)  # warm both out of the measurement
-    run(sim_seed)
-    t_new, t_seed = [], []
-    for _ in range(reps):
-        t0 = time.perf_counter()
-        run(sim_new)
-        t_new.append(time.perf_counter() - t0)
-        t0 = time.perf_counter()
-        run(sim_seed)
-        t_seed.append(time.perf_counter() - t0)
-    new_mean, seed_mean = statistics.fmean(t_new), statistics.fmean(t_seed)
+    from repro.resilience.service_chaos import (
+        ServiceCampaignConfig,
+        run_service_campaign,
+    )
+
+    ok = True
+    log.info("timing the faulted campaign (forced-serial vs batched) ...")
+    faulted = _faulted_campaign(128, reps)
+    ok &= _gate("faulted_campaign", faulted, ">=", 2.0, claim=True)
+    if faulted["parity_max_abs"] > 1e-12:
+        log.warning(
+            f"batched/serial outcome parity violated "
+            f"({faulted['parity_max_abs']:.3e} > 1e-12)"
+        )
+        ok = False
+
+    log.info("timing fault-free verification (null-SDC vs plain) ...")
+    verification = _verification_overhead(96, reps)
+    ok &= _gate("verification_overhead", verification, "<=", 1.03)
+    if verification["parity_max_abs"] > 0.0:
+        log.warning(
+            f"verification changed a fault-free outcome "
+            f"({verification['parity_max_abs']:.3e} != 0) — it must be "
+            f"pure observation"
+        )
+        ok = False
+
+    log.info("measuring recovered goodput under silent corruption ...")
+    recovered = _recovered_goodput()
+    log.info(
+        f"recovered_goodput: {recovered['recovered_goodput_frac_mean']:.1%} "
+        f"of fault-free baseline (min "
+        f"{recovered['recovered_goodput_frac_min']:.1%}) across "
+        f"{recovered['n_runs']} corruption runs; "
+        f"{recovered['corrupt_extents_detected']} corrupt arrivals "
+        f"detected, {recovered['corrupted_acknowledged_bytes']} corrupt "
+        f"bytes acknowledged, "
+        f"{recovered['quarantined_carriers']} carriers quarantined"
+    )
+    if not recovered["campaign_passed"]:
+        log.warning("corruption chaos campaign failed its invariants")
+        ok = False
+    if recovered["corrupted_acknowledged_bytes"] != 0:
+        log.warning(
+            f"corrupted bytes were acknowledged "
+            f"({recovered['corrupted_acknowledged_bytes']})"
+        )
+        ok = False
+
+    log.info(f"running seeded service chaos campaign ({n_requests} requests) ...")
+    with tempfile.TemporaryDirectory() as td:
+        chaos_summary = run_service_campaign(
+            ServiceCampaignConfig(n_requests=n_requests),
+            out_path=Path(td) / "campaign.json",
+            progress=log.info,
+        )
+    # The temp-dir paths die with the directory.
+    chaos_summary.pop("out", None)
+    chaos_summary.pop("journal", None)
+    if not chaos_summary["passed"]:
+        log.warning(
+            f"service chaos campaign failed its invariants: "
+            f"{chaos_summary['failures']}"
+        )
+        ok = False
     return {
-        "new_mean_s": new_mean,
-        "seed_mean_s": seed_mean,
-        "new_best_s": min(t_new),
-        "seed_best_s": min(t_seed),
-        "speedup_mean": seed_mean / new_mean,
-        "speedup_best": min(t_seed) / min(t_new),
-        "reps": reps,
+        "faulted_campaign": faulted,
+        "verification_overhead": verification,
+        "recovered_goodput": recovered,
+        "chaos_service": chaos_summary,
+    }, ok
+
+
+def _retransmit_record() -> dict:
+    """Partial-progress (ledger) vs full-share retransmit volumes."""
+    import bench_ext_resilience as bench_res
+
+    log.info("running partial-progress retransmit benchmark ...")
+    fig = bench_res.run_partial_progress()
+    full = fig.get("full retransmit")
+    part = fig.get("partial progress (ledger)")
+    log.info(
+        f"retransmit savings {fig.notes['retransmit_savings_frac']:.1%}, "
+        f"goodput gain {fig.notes['goodput_gain_at_big']:.2f}x"
+    )
+    return {
+        "figure": fig.figure,
+        "sizes": list(full.x),
+        "bytes_resent_full": list(full.y),
+        "bytes_resent_partial": list(part.y),
+        **fig.notes,
     }
+
+
+def _write(path: Path, doc: dict) -> None:
+    atomic_write_text(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    log.info(f"wrote {path}")
 
 
 def main(argv: "list[str] | None" = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--out", type=Path, default=DEFAULT_OUT)
-    ap.add_argument("--reps", type=int, default=5, help="timed reps per benchmark")
     ap.add_argument(
-        "--seed-reps",
-        type=int,
-        default=3,
-        help="interleaved reps for the seed-relative speedup measurements",
+        "--reps", type=int, default=10, help="timed repetitions per comparison"
     )
     ap.add_argument(
         "--resilience",
         action="store_true",
         help="also run the partial-progress retransmit benchmark and "
-        "record its savings under the 'resilience' key",
+        "record it under the 'resilience' key of --resilience-out",
     )
     ap.add_argument(
         "--skip-perf",
         action="store_true",
-        help="skip the simulator microbenchmarks and seed speedups "
-        "(CI's chaos-smoke job records only the resilience numbers)",
+        help="skip the simulator record; --out is not written",
     )
     ap.add_argument(
         "--service",
@@ -462,17 +544,17 @@ def main(argv: "list[str] | None" = None) -> int:
     ap.add_argument(
         "--chaos-service",
         action="store_true",
-        help="also measure faulted-campaign throughput (batched vs "
-        "forced-serial under link-fault traces), fault-free "
-        "verification overhead (gated <= 3%%), recovered goodput under "
+        help="also time the faulted campaign (forced-serial vs batched) "
+        "and fault-free verification, measure recovered goodput under "
         "silent corruption, and run a seeded service chaos campaign; "
-        "writes a bench-resilience/1 report to --resilience-out",
+        "recorded in --resilience-out",
     )
     ap.add_argument(
         "--resilience-out",
         type=Path,
         default=REPO_ROOT / "BENCH_resilience.json",
-        help="destination of the --chaos-service report",
+        help="the bench-resilience/1 record --chaos-service and "
+        "--resilience update",
     )
     ap.add_argument(
         "--chaos-requests",
@@ -482,6 +564,8 @@ def main(argv: "list[str] | None" = None) -> int:
     )
     args = ap.parse_args(argv)
     setup_cli_logging("info")
+    if args.reps < 6:
+        ap.error("--reps must be >= 6 for a 95% interval of the median")
     if args.skip_perf and not (
         args.resilience or args.service or args.chaos_service
     ):
@@ -490,117 +574,28 @@ def main(argv: "list[str] | None" = None) -> int:
             "--resilience/--service/--chaos-service"
         )
 
-    resilience_ok = True
+    ok = True
+    if not args.skip_perf:
+        sim_doc, sim_ok = _simulator_record(args.reps)
+        _write(args.out, sim_doc)
+        ok &= sim_ok
+
+    res_fields: dict = {}
     if args.chaos_service:
-        import tempfile
+        fields, chaos_ok = _chaos_service_record(args.reps, args.chaos_requests)
+        res_fields.update(fields)
+        ok &= chaos_ok
+    if args.resilience:
+        res_fields["resilience"] = _retransmit_record()
+    if res_fields:
+        res_doc: dict = {}
+        if args.resilience_out.exists():
+            res_doc = json.loads(args.resilience_out.read_text())
+            if res_doc.get("schema") != RES_SCHEMA:
+                res_doc = {}
+        res_doc.update(res_fields, schema=RES_SCHEMA, python=sys.version.split()[0])
+        _write(args.resilience_out, res_doc)
 
-        from repro.resilience.service_chaos import (
-            ServiceCampaignConfig,
-            run_service_campaign,
-        )
-
-        log.info(
-            "measuring faulted campaign throughput (batched vs forced-serial) ..."
-        )
-        faulted = _faulted_campaign_throughput(128, max(args.seed_reps, 3))
-        log.info(
-            f"faulted_campaign: batched {faulted['batched_scen_per_s']:.0f} "
-            f"scen/s vs serial {faulted['serial_scen_per_s']:.0f} scen/s -> "
-            f"{faulted['speedup_mean']:.2f}x mean "
-            f"({faulted['speedup_best']:.2f}x best), parity "
-            f"{faulted['parity_max_abs']:.1e}"
-        )
-        log.info(
-            "measuring fault-free verification overhead (plain vs null-SDC) ..."
-        )
-        verification = _verification_overhead(96, max(args.seed_reps, 5))
-        log.info(
-            f"verification_overhead: plain "
-            f"{verification['plain_mean_s'] * 1e3:.1f} ms, verified "
-            f"{verification['verified_mean_s'] * 1e3:.1f} ms -> "
-            f"{verification['overhead_frac_mean']:+.2%} mean "
-            f"({verification['overhead_frac_best']:+.2%} best), parity "
-            f"{verification['parity_max_abs']:.1e}"
-        )
-        log.info("measuring recovered goodput under silent corruption ...")
-        recovered = _recovered_goodput()
-        log.info(
-            f"recovered_goodput: {recovered['recovered_goodput_frac_mean']:.1%} "
-            f"of fault-free baseline (min "
-            f"{recovered['recovered_goodput_frac_min']:.1%}) across "
-            f"{recovered['n_runs']} corruption runs; "
-            f"{recovered['corrupt_extents_detected']} corrupt arrivals "
-            f"detected, {recovered['corrupted_acknowledged_bytes']} corrupt "
-            f"bytes acknowledged, "
-            f"{recovered['quarantined_carriers']} carriers quarantined"
-        )
-        log.info(
-            f"running seeded service chaos campaign "
-            f"({args.chaos_requests} requests) ..."
-        )
-        with tempfile.TemporaryDirectory() as td:
-            chaos_summary = run_service_campaign(
-                ServiceCampaignConfig(n_requests=args.chaos_requests),
-                out_path=Path(td) / "campaign.json",
-                progress=log.info,
-            )
-        res_doc = {
-            "schema": "bench-resilience/1",
-            "python": sys.version.split()[0],
-            "faulted_campaign": faulted,
-            "verification_overhead": verification,
-            "recovered_goodput": recovered,
-            "chaos_service": chaos_summary,
-        }
-        atomic_write_text(
-            args.resilience_out,
-            json.dumps(res_doc, indent=2, sort_keys=True) + "\n",
-        )
-        log.info(f"wrote {args.resilience_out}")
-        if faulted["parity_max_abs"] > 1e-12:
-            log.warning(
-                f"batched/serial outcome parity violated "
-                f"({faulted['parity_max_abs']:.3e} > 1e-12)"
-            )
-            resilience_ok = False
-        if faulted["speedup_mean"] < 2.0:
-            log.warning(
-                f"faulted campaign speedup below the 2x gate "
-                f"({faulted['speedup_mean']:.2f}x)"
-            )
-            resilience_ok = False
-        if verification["overhead_frac_mean"] > 0.03:
-            log.warning(
-                f"fault-free verification overhead above the 3% gate "
-                f"({verification['overhead_frac_mean']:.2%})"
-            )
-            resilience_ok = False
-        if verification["parity_max_abs"] > 0.0:
-            log.warning(
-                f"verification changed a fault-free outcome "
-                f"({verification['parity_max_abs']:.3e} != 0) — it must be "
-                f"pure observation"
-            )
-            resilience_ok = False
-        if not recovered["campaign_passed"]:
-            log.warning("corruption chaos campaign failed its invariants")
-            resilience_ok = False
-        if recovered["corrupted_acknowledged_bytes"] != 0:
-            log.warning(
-                f"corrupted bytes were acknowledged "
-                f"({recovered['corrupted_acknowledged_bytes']})"
-            )
-            resilience_ok = False
-        if not chaos_summary["passed"]:
-            log.warning(
-                f"service chaos campaign failed its invariants: "
-                f"{chaos_summary['failures']}"
-            )
-            resilience_ok = False
-        if args.skip_perf and not (args.resilience or args.service):
-            return 0 if resilience_ok else 1
-
-    service_ok = True
     if args.service:
         from repro.loadgen import service_benchmark
 
@@ -608,143 +603,16 @@ def main(argv: "list[str] | None" = None) -> int:
         svc_doc = service_benchmark(
             duration_s=args.service_duration, progress=log.info
         )
-        atomic_write_text(
-            args.service_out, json.dumps(svc_doc, indent=2, sort_keys=True) + "\n"
-        )
+        _write(args.service_out, svc_doc)
         verdict = svc_doc["comparison"]
         log.info(
-            f"wrote {args.service_out}: goodput gain "
-            f"{verdict['goodput_gain']:+.1%}, CI separated: "
+            f"goodput gain {verdict['goodput_gain']:+.1%}, CI separated: "
             f"{verdict['goodput_ci_separated']}"
         )
-        service_ok = (
-            verdict["goodput_gain"] >= 0 and verdict["goodput_ci_separated"]
-        )
-        if not service_ok:
+        if not (verdict["goodput_gain"] >= 0 and verdict["goodput_ci_separated"]):
             log.warning("adaptive admission did not separate from static")
-        if args.skip_perf and not args.resilience:
-            return 0 if (service_ok and resilience_ok) else 1
-
-    resilience = None
-    if args.resilience:
-        import bench_ext_resilience as bench_res
-
-        log.info("running partial-progress retransmit benchmark ...")
-        fig = bench_res.run_partial_progress()
-        full = fig.get("full retransmit")
-        part = fig.get("partial progress (ledger)")
-        resilience = {
-            "figure": fig.figure,
-            "sizes": list(full.x),
-            "bytes_resent_full": list(full.y),
-            "bytes_resent_partial": list(part.y),
-            **fig.notes,
-        }
-        log.info(
-            f"retransmit savings {fig.notes['retransmit_savings_frac']:.1%}, "
-            f"goodput gain {fig.notes['goodput_gain_at_big']:.2f}x"
-        )
-
-    if args.skip_perf:
-        doc = {
-            "schema": "bench-simulator/1",
-            "python": sys.version.split()[0],
-            "resilience": resilience,
-        }
-        atomic_write_text(args.out, json.dumps(doc, indent=2, sort_keys=True) + "\n")
-        log.info(f"wrote {args.out}")
-        return 0 if (service_ok and resilience_ok) else 1
-
-    system512 = mira_system(nnodes=512)
-
-    log.info("running simulator microbenchmarks ...")
-    bench.test_waterfill_1k_flows(BenchmarkShim(reps=args.reps))
-    bench.test_eventloop_1k_exact(BenchmarkShim(reps=args.reps))
-    bench.test_flowsim_small_exact(BenchmarkShim(reps=args.reps))
-    # Sub-millisecond paths: more reps for a stable mean.
-    bench.test_deterministic_routing(BenchmarkShim(reps=50), system512)
-    bench.test_proxy_search(BenchmarkShim(reps=20), system512)
-    bench.test_tracer_overhead()
-    bench.test_exact_mode_not_slower_than_seed()
-
-    log.info("measuring seed-relative speedups (interleaved) ...")
-    flows, system = bench._thousand_flows()
-    torus_flows = _torus_thousand_flows()
-    torus_cap = 2.0e9
-    speedups = {
-        "eventloop_1k_exact": _interleaved_speedup(
-            lambda: FlowSim(system.capacity, MIRA_PARAMS),
-            lambda: SeedFlowSim(system.capacity, MIRA_PARAMS),
-            lambda sim: sim.run(flows),
-            args.seed_reps,
-        ),
-        "waterfill_1k_batched": _interleaved_speedup(
-            lambda: FlowSim(system.capacity, MIRA_PARAMS, batch_tol=0.5),
-            lambda: SeedFlowSim(system.capacity, MIRA_PARAMS, batch_tol=0.5),
-            lambda sim: sim.run(flows),
-            args.seed_reps,
-        ),
-        # Uniform-capacity 8x8x8 torus (512 nodes), exact mode: no rate
-        # caps bind, so every freeze goes through the real-link incidence
-        # kernel — the purest waterfill stressor.
-        "waterfill_1k_torus_exact": _interleaved_speedup(
-            lambda: FlowSim(lambda link: torus_cap),
-            lambda: SeedFlowSim(lambda link: torus_cap),
-            lambda sim: sim.run(torus_flows),
-            args.seed_reps,
-        ),
-    }
-    for name, rec in speedups.items():
-        log.info(
-            f"{name}: new {rec['new_mean_s'] * 1e3:.1f} ms, "
-            f"seed {rec['seed_mean_s'] * 1e3:.1f} ms "
-            f"-> {rec['speedup_mean']:.2f}x mean ({rec['speedup_best']:.2f}x best)"
-        )
-
-    log.info("measuring campaign throughput (serial vs batched) ...")
-    campaign = _campaign_throughput(200, max(args.seed_reps, 3))
-    log.info(
-        f"campaign_throughput: batched {campaign['batched_scen_per_s']:.0f} "
-        f"scen/s vs serial {campaign['serial_scen_per_s']:.0f} scen/s "
-        f"-> {campaign['speedup_mean']:.2f}x mean "
-        f"({campaign['speedup_best']:.2f}x best)"
-    )
-
-    # Fold the bench.* gauges into {benchmark: {mean_s, stddev_s, ...}}.
-    gauges = get_registry().snapshot()["gauges"]
-    benchmarks: dict[str, dict] = {}
-    for name, value in gauges.items():
-        if not name.startswith("bench."):
-            continue
-        stem, _, field = name[len("bench.") :].rpartition(".")
-        if not stem:  # bare gauge such as bench.flowsim_tracing_overhead_frac
-            stem, field = field, "value"
-        benchmarks.setdefault(stem, {})[field] = value
-
-    doc = {
-        "schema": "bench-simulator/1",
-        "python": sys.version.split()[0],
-        "benchmarks": benchmarks,
-        "speedup_vs_seed": speedups,
-        "campaign_throughput": campaign,
-        "reps": args.reps,
-    }
-    if resilience is not None:
-        doc["resilience"] = resilience
-    atomic_write_text(args.out, json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    log.info(f"wrote {args.out}")
-
-    headline = speedups["eventloop_1k_exact"]["speedup_mean"]
-    if headline < 1.0:
-        log.warning(f"vectorized event loop slower than seed ({headline:.2f}x)")
-        return 1
-    if campaign["speedup_mean"] < 1.0:
-        log.warning(
-            f"batched campaign simulation slower than serial "
-            f"({campaign['speedup_mean']:.2f}x)"
-        )
-        return 1
-    return 0 if (service_ok and resilience_ok) else 1
+            ok = False
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":

@@ -617,7 +617,6 @@ def _cmd_faults(args) -> int:
     monitor = HealthMonitor(
         system,
         faults=faults,
-        suspect_fraction=policy.health_threshold,
         reprobe_interval=policy.reprobe_interval,
     )
     planner = ResilientPlanner(

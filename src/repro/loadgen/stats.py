@@ -10,17 +10,22 @@ by point estimates.
 :func:`compare` judges candidate vs baseline: relative goodput gain,
 whether the goodput CIs are disjoint (the acceptance criterion of the
 adaptive-vs-static soak), and **Cliff's delta** on the completed-request
-latency samples as a scale-free effect size.
+latency samples as a scale-free effect size.  :func:`paired_ratio`
+reduces a paired A/B timing to its median per-rep ratio and an
+order-statistic CI (:func:`median_ci`, no resampling).
 
-Everything takes an explicit seed; the same outcomes + seed always
+Every bootstrap takes an explicit seed; the same outcomes + seed always
 reproduce the same intervals.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Mapping, Sequence
 
 import numpy as np
+
+from repro.util.validation import ConfigError
 
 #: Latency percentiles the report carries.
 PERCENTILES = (50.0, 95.0, 99.0)
@@ -55,6 +60,29 @@ def bootstrap_ci(
     boots = np.array([stat(arr[row]) for row in idx])
     lo, hi = np.percentile(boots, [100 * alpha / 2, 100 * (1 - alpha / 2)])
     return (float(lo), float(hi))
+
+
+def median_ci(values: Sequence[float]) -> "tuple[float, float]":
+    """Distribution-free 95% CI of the median (n >= 6): order statistics
+    x(k), x(n+1-k) for the largest k with P(Bin(n, 1/2) < k) <= 2.5%."""
+    x = np.sort(np.asarray(values, dtype=float))
+    k, cum = 0, 1  # cum = 2**n P(Bin(n, 1/2) <= k)
+    while x.ndim == 1 and 40 * cum <= 2**x.size:
+        k, cum = k + 1, cum + math.comb(x.size, k + 1)
+    if k == 0:
+        raise ConfigError(f"a 95% CI of the median needs >= 6 samples, got {x.shape}")
+    return (float(x[k - 1]), float(x[x.size - k]))
+
+
+def paired_ratio(numer, denom) -> dict:
+    """Median of the per-pair ratios ``numer[i] / denom[i]``, its
+    :func:`median_ci` and a verdict: which side of 1 the CI lies on."""
+    a, b = np.asarray(numer, dtype=float), np.asarray(denom, dtype=float)
+    if a.shape != b.shape:
+        raise ConfigError(f"paired samples must align: {a.shape} vs {b.shape}")
+    lo, hi = median_ci(a / b)
+    verdict = "ratio > 1" if lo > 1 else "ratio < 1" if hi < 1 else "no measurable difference"
+    return {"ratio_median": float(np.median(a / b)), "ratio_ci": [lo, hi], "verdict": verdict}
 
 
 def cliffs_delta(a: Sequence[float], b: Sequence[float]) -> float:

@@ -15,8 +15,8 @@ path ids, fault events).  Two clock domains coexist:
 A process-wide registry (:func:`get_tracer` / :func:`set_tracer`) lets
 deep layers emit spans without threading a tracer through every call;
 the default :data:`NULL_TRACER` makes every emission a no-op so the
-disabled path adds no measurable overhead (see
-``benchmarks/bench_simulator_perf.py`` and ``docs/OBSERVABILITY.md``).
+disabled path adds no measurable overhead (``tracing_overhead`` in
+``BENCH_simulator.json``, from ``benchmarks/record.py``).
 
 Exporters produce JSONL (one span per line, grep/pandas friendly) and
 the Chrome ``trace_event`` format loadable in Perfetto or

@@ -574,7 +574,6 @@ def run_campaign(config: "CampaignConfig | None" = None) -> dict:
                 if scenario.sdc is not None:
                     mon = HealthMonitor(
                         system,
-                        suspect_fraction=policy.health_threshold,
                         reprobe_interval=policy.reprobe_interval,
                     )
                 try:

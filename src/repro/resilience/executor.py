@@ -6,14 +6,14 @@ from planning (as real link failures are), and only shows up as missed
 per-path deadlines and collapsed observed rates.  Execution proceeds in
 **rounds**:
 
-1. every carrier gets a deadline (``deadline_factor`` × its Eq. 1/2
+1. every carrier gets a deadline (:data:`DEADLINE_FACTOR` × its Eq. 1/2
    predicted time at the believed rate); the round's flows run in the
    fluid simulator against the ground-truth capacities, with the trace's
    factor changes applied mid-run as exact
    :class:`~repro.network.flowsim.CapacityEvent` interrupts;
 2. a carrier **fails** when it misses its deadline *and* its achieved
-   delivery rate fell below ``health_threshold`` of plan — plain two-way
-   max-min contention yields a 0.5 rate ratio, safely above the default
+   delivery rate fell below :data:`HEALTH_THRESHOLD` of plan — plain
+   two-way max-min contention yields a 0.5 rate ratio, safely above
    0.4, so fair sharing alone never triggers failover;
 3. a failed carrier is *cancelled at its deadline*: the simulator's
    byte-exact cutoff snapshot says how much of its share actually
@@ -73,6 +73,7 @@ from repro.obs.metrics import TimeSeriesProbe, get_registry
 from repro.obs.trace import get_tracer
 from repro.resilience.health import (
     DOWN,
+    HEALTH_THRESHOLD,
     HEALTHY,
     PROBATION,
     QUARANTINED,
@@ -100,6 +101,11 @@ STALL_RATE = 1.0
 #: mismatch, not the value, is what detection keys on).
 _CORRUPT_MASK = 0xA5A5A5A5
 
+#: A carrier is late past this multiple of its predicted time.
+DEADLINE_FACTOR = 1.5
+#: Planned rates floor at this fraction of the stream ceiling, so believed-dead paths fail fast.
+MIN_PLANNED_FRACTION = 0.01
+
 
 @dataclass(frozen=True)
 class RetryPolicy:
@@ -107,8 +113,6 @@ class RetryPolicy:
 
     Attributes:
         max_retries: retry rounds allowed per transfer before aborting.
-        deadline_factor: a carrier is late when it exceeds this multiple
-            of its predicted time.
         backoff_base: first retry's backoff delay [s] (simulated time).
         backoff_multiplier: exponential backoff growth per retry.
         backoff_jitter: fraction of each backoff delay that is
@@ -128,13 +132,6 @@ class RetryPolicy:
             proxies (and, failing that, the direct path) join the retry
             carriers (the Eq. 5 profitability floor: fewer than 3 paths
             cannot beat direct anyway).
-        health_threshold: a late carrier only *fails* when its delivery
-            rate fell below this fraction of plan; keep < 0.5 so fair
-            two-way contention is never mistaken for a fault.
-        min_planned_fraction: planned rates are floored at this fraction
-            of the stream ceiling when setting deadlines, so a path the
-            monitor believes (almost) dead cannot "succeed" by matching
-            an absurdly low expectation — it fails fast instead.
         chunk_bytes: extent granularity of the integrity ledger (see
             :class:`~repro.resilience.ledger.TransferLedger`).
         partial_progress: credit a cancelled carrier's byte-exact
@@ -151,38 +148,26 @@ class RetryPolicy:
         reprobe_interval: half-open re-probe interval handed to an
             auto-created :class:`~repro.resilience.health.HealthMonitor`
             (ignored when a monitor is passed in); ``None`` disables.
-        use_replacements: top up surviving carriers with
-            failure-domain-aware replacement proxies (only when at
-            least one carrier survived — with none, the direct path is
-            the only believed-safe fallback).
         avoid_failure_domains: additionally keep replacement routes out
             of every midplane failure domain touching a link the
             monitor believes down.
     """
 
     max_retries: int = 3
-    deadline_factor: float = 1.5
     backoff_base: float = 1e-4
     backoff_multiplier: float = 2.0
     backoff_jitter: float = 0.0
     jitter_seed: int = 2014
     min_healthy_paths: int = 3
-    health_threshold: float = 0.4
-    min_planned_fraction: float = 0.01
     chunk_bytes: int = DEFAULT_CHUNK_BYTES
     partial_progress: bool = True
     budget_s: "float | None" = None
     reprobe_interval: "float | None" = None
-    use_replacements: bool = True
     avoid_failure_domains: bool = False
 
     def __post_init__(self):
         if self.max_retries < 0:
             raise ConfigError(f"max_retries must be >= 0, got {self.max_retries}")
-        if self.deadline_factor < 1.0:
-            raise ConfigError(
-                f"deadline_factor must be >= 1, got {self.deadline_factor}"
-            )
         if self.backoff_base < 0:
             raise ConfigError(f"backoff_base must be >= 0, got {self.backoff_base}")
         if self.backoff_multiplier < 1.0:
@@ -196,15 +181,6 @@ class RetryPolicy:
         if self.min_healthy_paths < 1:
             raise ConfigError(
                 f"min_healthy_paths must be >= 1, got {self.min_healthy_paths}"
-            )
-        if not 0 < self.health_threshold < 1:
-            raise ConfigError(
-                f"health_threshold must be in (0, 1), got {self.health_threshold}"
-            )
-        if not 0 < self.min_planned_fraction <= 1:
-            raise ConfigError(
-                f"min_planned_fraction must be in (0, 1], got "
-                f"{self.min_planned_fraction}"
             )
         if self.chunk_bytes < 1:
             raise ConfigError(f"chunk_bytes must be >= 1, got {self.chunk_bytes}")
@@ -415,7 +391,6 @@ def _resilient_execution(
         monitor = HealthMonitor(
             system,
             faults=faults,
-            suspect_fraction=policy.health_threshold,
             reprobe_interval=policy.reprobe_interval,
         )
     if planner is None:
@@ -485,7 +460,7 @@ def _resilient_execution(
         out = []
         for i, em in enumerate(emissions):
             two_hop = em.phase1 is not None
-            rate = max(float(rates[i]), policy.min_planned_fraction * stream)
+            rate = max(float(rates[i]), MIN_PLANNED_FRACTION * stream)
             t_pred = _predicted_time(params, em.share, rate, two_hop)
             car = _Carrier(
                 spec_idx=spec_idx,
@@ -494,7 +469,7 @@ def _resilient_execution(
                 two_hop=two_hop,
                 planned_rate=rate,
                 planned_time=t_pred,
-                deadline=policy.deadline_factor * t_pred,
+                deadline=DEADLINE_FACTOR * t_pred,
                 exit_fid=em.exit,
                 phase1_fid=em.phase1,
                 extents=list(groups[i]) if groups is not None else [],
@@ -520,7 +495,7 @@ def _resilient_execution(
         spec = specs[spec_idx]
         sub = TransferSpec(src=spec.src, dst=spec.dst, nbytes=nbytes)
         fid = build_direct_flows(prog, sub, label=label)
-        rate = max(float(rate), policy.min_planned_fraction * stream)
+        rate = max(float(rate), MIN_PLANNED_FRACTION * stream)
         t_pred = _predicted_time(params, nbytes, rate, two_hop=False)
         return _Carrier(
             spec_idx=spec_idx,
@@ -529,7 +504,7 @@ def _resilient_execution(
             two_hop=False,
             planned_rate=rate,
             planned_time=t_pred,
-            deadline=policy.deadline_factor * t_pred,
+            deadline=DEADLINE_FACTOR * t_pred,
             exit_fid=fid,
             extents=list(extents) if extents is not None else [],
             obs=[(direct_links[(spec.src, spec.dst)], fid)],
@@ -551,7 +526,7 @@ def _resilient_execution(
             proxy, spec.dst, nbytes, relay=True, label=label,
             tag=(spec.src, spec.dst),
         )
-        rate = max(float(rate), policy.min_planned_fraction * stream)
+        rate = max(float(rate), MIN_PLANNED_FRACTION * stream)
         t_pred = params.o_msg + params.o_fwd + nbytes / rate
         p2_links = system.compute_path(proxy, spec.dst).links
         return _Carrier(
@@ -561,7 +536,7 @@ def _resilient_execution(
             two_hop=False,
             planned_rate=rate,
             planned_time=t_pred,
-            deadline=policy.deadline_factor * t_pred,
+            deadline=DEADLINE_FACTOR * t_pred,
             exit_fid=fid,
             redrive=True,
             extents=list(extents),
@@ -724,7 +699,7 @@ def _resilient_execution(
                 planned_delivery = (
                     car.planned_rate / 2 if car.two_hop else car.planned_rate
                 )
-                ok = achieved >= policy.health_threshold * planned_delivery
+                ok = achieved >= HEALTH_THRESHOLD * planned_delivery
             # Credit first: the integrity verdict needs the corrupt set.
             corrupt = credit_carrier(car, ok, result, rnd)
             verdict = "corrupt" if corrupt else ("ok" if ok else "failed")
@@ -1042,11 +1017,7 @@ def _resilient_execution(
             # carrier's route.  Only with at least one verified-healthy
             # survivor — with none, nothing is known-good to anchor on
             # and the direct path is the fallback.
-            if (
-                policy.use_replacements
-                and healthy
-                and len(healthy) < policy.min_healthy_paths
-            ):
+            if healthy and len(healthy) < policy.min_healthy_paths:
                 bad_links = set(monitor.suspect_links())
                 avoid = set(bad_links)
                 for j in healthy:

@@ -28,6 +28,10 @@ from repro.machine.faults import FaultModel
 from repro.machine.system import BGQSystem
 from repro.util.validation import ConfigError
 
+#: A link is suspect, and a late carrier fails, below this fraction of nominal capacity /
+#: planned rate: under the 0.5 ratio of fair two-way sharing, so contention never condemns.
+HEALTH_THRESHOLD = 0.4
+
 #: Verdicts returned by :meth:`HealthMonitor.path_verdict`.
 HEALTHY = "healthy"
 DEGRADED = "degraded"
@@ -50,10 +54,8 @@ class HealthMonitor:
         faults: *known* static faults seeding the initial estimates
             (degraded links start distrusted, failed links start down).
         suspect_fraction: links whose effective capacity falls below this
-            fraction of nominal are flagged as suspect.  The default 0.4
-            sits safely below the 0.5 rate ratio that plain two-way
-            max-min sharing produces, so fair contention alone never
-            condemns a healthy link.
+            fraction of nominal are flagged as suspect (default
+            :data:`HEALTH_THRESHOLD`).
         reprobe_interval: simulated seconds after which a link believed
             *down* enters probation (half-open): paths through it report
             :data:`PROBATION` instead of :data:`DOWN`, so a flapping link
@@ -72,7 +74,7 @@ class HealthMonitor:
         system: BGQSystem,
         *,
         faults: "FaultModel | None" = None,
-        suspect_fraction: float = 0.4,
+        suspect_fraction: float = HEALTH_THRESHOLD,
         reprobe_interval: "float | None" = None,
         corruption_threshold: int = 2,
     ):

@@ -36,6 +36,10 @@ from repro.util.validation import ConfigError, ReproError, SimulationCancelled
 #: Fields a transfer payload records per (src, dst) pair.
 _MiB = 1 << 20
 
+#: Degrade to direct below this × the planning-cost estimate of remaining
+#: deadline (read by the dispatcher and by the worker's own check).
+PLAN_COST_SAFETY = 2.0
+
 
 class StageError(ReproError):
     """A scenario stage failed; ``stage`` is ``"plan"`` or ``"simulate"``.
@@ -458,7 +462,6 @@ def execute_request(
     *,
     degraded: bool = False,
     plan_cost_est_s: float = 0.0,
-    plan_cost_safety: float = 2.0,
     max_proxies_cap: "int | None" = None,
 ) -> tuple[dict, dict, bool]:
     """Run one scenario; returns ``(payload, stage_s, degraded_used)``.
@@ -466,15 +469,15 @@ def execute_request(
     ``degraded`` is the dispatcher's verdict (planner breaker open or
     degradation ladder at its direct tier); ``max_proxies_cap`` is the
     ladder's reduced-k cap on the proxy search (tier 1).  Additionally,
-    when the remaining deadline is below ``plan_cost_safety *
-    plan_cost_est_s``, the runner degrades on its own — spending the
+    when the remaining deadline is below :data:`PLAN_COST_SAFETY` ×
+    ``plan_cost_est_s``, the runner degrades on its own — spending the
     whole budget planning would guarantee a miss.
     """
     stage_s: dict = {}
     scope = current_scope()
     if not degraded and scope is not None and plan_cost_est_s > 0:
         remaining = scope.remaining()
-        if remaining is not None and remaining < plan_cost_safety * plan_cost_est_s:
+        if remaining is not None and remaining < PLAN_COST_SAFETY * plan_cost_est_s:
             degraded = True
     check_cancelled()
     if kind in ("p2p", "group", "fanin"):

@@ -27,7 +27,7 @@ bookkeeping has no cross-thread races to reason about):
 
 Two circuit breakers (:mod:`repro.service.breaker`) watch the planner
 and simulator stages.  A tripped planner breaker — or a remaining
-deadline smaller than ``plan_cost_safety ×`` the observed planning-cost
+deadline smaller than ``PLAN_COST_SAFETY ×`` the observed planning-cost
 EWMA — flips the dispatch to **degraded mode**: direct single-path
 transfers with no proxy search, trading bandwidth for an answer inside
 the deadline.  A tripped simulator breaker sheds at admission.
@@ -89,6 +89,7 @@ from repro.service.request import (
     ScenarioRequest,
     ScenarioResult,
 )
+from repro.service.scenarios import PLAN_COST_SAFETY
 from repro.service.worker import worker_main
 from repro.util.validation import ConfigError
 
@@ -114,8 +115,6 @@ class ServiceConfig:
             hard-kills, giving cooperative cancellation first refusal.
         breaker_failure_threshold / breaker_recovery_s: see
             :class:`repro.service.breaker.CircuitBreaker`.
-        plan_cost_safety: degrade when remaining deadline is below
-            ``plan_cost_safety ×`` the planning-cost EWMA.
         poll_interval_s: supervisor wake-up period.
         admission: ``"static"`` (PR 5 behaviour: the bounded queue is
             the only admission bound) or ``"adaptive"`` (AIMD
@@ -135,7 +134,6 @@ class ServiceConfig:
     kill_grace_s: float = 0.25
     breaker_failure_threshold: int = 3
     breaker_recovery_s: float = 1.0
-    plan_cost_safety: float = 2.0
     poll_interval_s: float = 0.005
     admission: str = "static"
     latency_target_s: "float | None" = None
@@ -792,7 +790,7 @@ class ScenarioService:
                         elif (
                             remaining is not None
                             and est > 0
-                            and remaining < self.config.plan_cost_safety * est
+                            and remaining < PLAN_COST_SAFETY * est
                         ):
                             tier = TIER_DIRECT
                             self.planner_breaker.release()

@@ -5,8 +5,7 @@ component of the link×flow incidence graph touched by an event —
 arrival, departure, cutoff, CapacityEvent — keeping frozen rates
 elsewhere.  These hypothesis tests drive random event sequences through
 both engines and require agreement to ≤1e-12 relative, the bound
-``docs/PERFORMANCE.md`` documents and ``benchmarks/record.py`` assumes
-when it reports exact-mode speedups.
+``docs/PERFORMANCE.md`` documents.
 """
 
 import numpy as np

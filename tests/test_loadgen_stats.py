@@ -1,5 +1,6 @@
 """Statistics layer of the load harness: percentiles, seeded bootstrap
-CIs, Cliff's delta, and the summarize/compare report documents."""
+CIs, order-statistic median CIs, paired ratios, Cliff's delta, and the
+summarize/compare report documents."""
 
 import math
 
@@ -7,7 +8,8 @@ import numpy as np
 import pytest
 
 from repro.loadgen import RequestOutcome, bootstrap_ci, cliffs_delta, compare, summarize
-from repro.loadgen.stats import percentile
+from repro.loadgen.stats import median_ci, paired_ratio, percentile
+from repro.util.validation import ConfigError
 
 
 class TestPercentile:
@@ -40,6 +42,76 @@ class TestBootstrapCI:
     def test_empty_input(self):
         lo, hi = bootstrap_ci([], lambda a: float(np.mean(a)), seed=0)
         assert math.isnan(lo) and math.isnan(hi)
+
+
+class TestMedianCI:
+    @pytest.mark.parametrize("n", range(6, 61))
+    def test_order_statistics_with_95_percent_coverage(self, n):
+        lo, hi = median_ci(np.arange(n, 0, -1.0) - 1)  # unsorted 0..n-1
+        k = int(lo) + 1  # the interval is [x(k), x(n+1-k)]
+        assert hi == n - k
+
+        def coverage(k):
+            return 1 - 2 * sum(math.comb(n, j) for j in range(k)) / 2**n
+
+        assert coverage(k) >= 0.95 > coverage(k + 1)
+
+    def test_ten_samples_use_second_and_ninth(self):
+        assert median_ci([5.0, 1.0, 9.0, 3.0, 7.0, 2.0, 8.0, 4.0, 10.0, 6.0]) == (2.0, 9.0)
+
+    @pytest.mark.parametrize("values", [[], [1.0] * 5, [[1.0] * 6]])
+    def test_rejects_too_few_or_non_1d(self, values):
+        with pytest.raises(ConfigError):
+            median_ci(values)
+
+
+class TestPairedRatio:
+    TIMES = [0.31, 0.29, 0.35, 0.30, 0.42, 0.28, 0.33, 0.30, 0.36, 0.31]
+
+    def test_identical_samples_no_difference(self):
+        r = paired_ratio(self.TIMES, self.TIMES)
+        lo, hi = r["ratio_ci"]
+        assert lo <= 1.0 <= hi
+        assert r["ratio_median"] == 1.0
+        assert r["verdict"] == "no measurable difference"
+
+    def test_consistent_double(self):
+        r = paired_ratio([2 * t for t in self.TIMES], self.TIMES)
+        assert r["ratio_median"] == pytest.approx(2.0)
+        assert r["ratio_ci"][0] > 1.0
+        assert r["verdict"] == "ratio > 1"
+        assert paired_ratio(self.TIMES, [2 * t for t in self.TIMES])["verdict"] == (
+            "ratio < 1"
+        )
+
+    def test_deterministic(self):
+        # The interval resamples nothing, so it needs no seed.
+        rng = np.random.default_rng(3)
+        a, b = rng.uniform(1, 2, 10), rng.uniform(1, 2, 10)
+        assert paired_ratio(a, b) == paired_ratio(a.copy(), b.copy())
+
+    def test_two_identical_code_paths(self):
+        # incremental="auto" vs full re-solve at 64 flows, where both run
+        # the same code: ten pairs once recorded in BENCH_simulator.json.
+        # A percentile bootstrap of their median gave [1.013, 1.140]
+        # (~89% coverage at n = 10); the order-statistic interval is the
+        # 2nd and 9th sorted ratio.
+        auto = [0.028519602, 0.021325709, 0.02409258, 0.024272533, 0.022022185,
+                0.024104138, 0.024381814, 0.026667749, 0.02521598, 0.029314868]
+        full = [0.020835741, 0.020905295, 0.023783546, 0.023224078, 0.023773471,
+                0.024087205, 0.023372855, 0.02159331, 0.024234218, 0.026698322]
+        ratios = sorted(a / f for a, f in zip(auto, full))
+        r = paired_ratio(auto, full)
+        assert r["ratio_ci"] == [ratios[1], ratios[8]]
+        assert r["ratio_ci"] == pytest.approx([1.0007, 1.2350], abs=1e-4)
+
+    @pytest.mark.parametrize(
+        "numer,denom",
+        [([], []), ([1.0, 2.0], [1.0]), ([[1.0] * 6], [[1.0] * 6]), ([1.0] * 5, [1.0] * 5)],
+    )
+    def test_rejects_empty_misaligned_or_short(self, numer, denom):
+        with pytest.raises(ConfigError):
+            paired_ratio(numer, denom)
 
 
 class TestCliffsDelta:

@@ -210,12 +210,9 @@ class TestRetryPolicy:
         "kw",
         [
             {"max_retries": -1},
-            {"deadline_factor": 0.5},
             {"backoff_base": -1.0},
             {"backoff_multiplier": 0.9},
             {"min_healthy_paths": 0},
-            {"health_threshold": 0.0},
-            {"health_threshold": 1.0},
         ],
     )
     def test_rejects_bad_knobs(self, kw):
