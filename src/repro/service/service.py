@@ -14,15 +14,18 @@ bookkeeping has no cross-thread races to reason about):
   (:class:`QueueFullError` — that rejection *is* the load shedding) or
   the simulator's circuit breaker is open (:class:`CircuitOpenError`).
   ``block=True`` turns rejection into backpressure for batch drivers.
-* supervisor thread — drains per-worker result queues, detects crashed
-  workers (restart; re-queue the victim request until
-  ``max_attempts``, then quarantine it as **poison**), hard-kills
-  workers that blow past their deadline or hang limit, and dispatches
-  queued requests to free workers (shedding any whose deadline already
-  expired while queued).
+* supervisor thread — waits on the workers' result pipes and process
+  sentinels and a wake pipe written by ``submit``/``close``, or until
+  the earliest timed duty (a deadline or hang kill, the adaptive
+  ladder's heartbeat, the shed-rate window); idle, it never wakes.  It
+  drains results, detects crashed workers (restart; re-queue the
+  victim request until ``max_attempts``, then quarantine it as
+  **poison**), hard-kills workers that blow past their deadline or hang
+  limit, and dispatches queued requests to free workers (shedding any
+  whose deadline already expired while queued).
 * workers — see :mod:`repro.service.worker`.  One request in flight
-  per worker over private queues, so a killed worker can never corrupt
-  a queue another worker is using, and the parent always knows which
+  per worker over private pipes, so a killed worker can never corrupt
+  a channel another worker is using, and the parent always knows which
   request died with it.
 
 Two circuit breakers (:mod:`repro.service.breaker`) watch the planner
@@ -57,11 +60,14 @@ states) and spans (``service.admit`` / ``service.dispatch``).
 
 from __future__ import annotations
 
+import contextlib
 import multiprocessing as mp
+import socket
 import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
+from multiprocessing.connection import wait
 from typing import Callable, Optional
 
 from repro.obs.metrics import get_registry
@@ -96,6 +102,12 @@ from repro.util.validation import ConfigError
 #: Scenario kinds with a separate planner stage (degraded mode applies).
 _PLANNED_KINDS = ("p2p", "group", "fanin")
 
+#: Period [s] of the adaptive ladder's pressure samples (the rate its
+#: EWMA and dwell are tuned for), and the pause after a supervisor error.
+_HEARTBEAT_S = 0.005
+#: Ladder pressure taken as idle: the EWMA never decays to exactly 0.
+_IDLE_PRESSURE = 1e-9
+
 
 @dataclass(frozen=True)
 class ServiceConfig:
@@ -115,7 +127,6 @@ class ServiceConfig:
             hard-kills, giving cooperative cancellation first refusal.
         breaker_failure_threshold / breaker_recovery_s: see
             :class:`repro.service.breaker.CircuitBreaker`.
-        poll_interval_s: supervisor wake-up period.
         admission: ``"static"`` (PR 5 behaviour: the bounded queue is
             the only admission bound) or ``"adaptive"`` (AIMD
             concurrency limiter + pressure degradation ladder; the
@@ -134,7 +145,6 @@ class ServiceConfig:
     kill_grace_s: float = 0.25
     breaker_failure_threshold: int = 3
     breaker_recovery_s: float = 1.0
-    poll_interval_s: float = 0.005
     admission: str = "static"
     latency_target_s: "float | None" = None
     ladder_reduced_k: int = 2
@@ -179,37 +189,34 @@ class _Tracked:
 
 
 class _Worker:
-    """One worker slot: process + its private dispatch/result queues."""
+    """One worker slot: process + the parent's ends of its private pipes."""
 
     __slots__ = (
-        "wid", "proc", "req_q", "res_q", "busy", "dispatched_at", "degraded", "tier"
+        "wid", "proc", "req_w", "res_r", "busy", "dispatched_at", "degraded", "tier"
     )
 
     def __init__(self, wid: int, ctx):
         self.wid = wid
-        self.req_q = ctx.Queue()
-        self.res_q = ctx.Queue()
+        req_r, self.req_w = ctx.Pipe(duplex=False)
+        self.res_r, res_w = ctx.Pipe(duplex=False)
         self.proc = ctx.Process(
             target=worker_main,
-            args=(wid, self.req_q, self.res_q),
+            args=(wid, req_r, res_w),
             name=f"repro-worker-{wid}",
             daemon=True,
         )
         self.proc.start()
+        req_r.close()
+        res_w.close()
         self.busy: "Optional[_Tracked]" = None
         self.dispatched_at = 0.0
         self.degraded = False
         self.tier = TIER_FULL
 
-    def discard_queues(self) -> None:
-        """Detach queue feeder threads so parent exit never blocks on a
-        queue whose consumer was hard-killed."""
-        for q in (self.req_q, self.res_q):
-            try:
-                q.cancel_join_thread()
-                q.close()
-            except (OSError, ValueError):
-                pass
+    def close_pipes(self) -> None:
+        """Close the parent's ends; a live worker reads EOF and exits."""
+        self.req_w.close()
+        self.res_r.close()
 
 
 class ScenarioService:
@@ -240,6 +247,10 @@ class ScenarioService:
         self._closing = False
         self._stop = False
         self._shed_times: "deque[float]" = deque()  # sliding shed-rate window
+        self._ladder_due = 0.0  # monotonic time of the next ladder sample
+        self._wake_r, self._wake_w = socket.socketpair()  # supervisor self-pipe
+        self._wake_w.setblocking(False)
+        self._wake_lock = threading.Lock()  # close() never frees the fd mid-wake
         self.limiter: "AdaptiveLimiter | None" = None
         self.ladder: "DegradationLadder | None" = None
         if self.config.admission == "adaptive":
@@ -292,57 +303,53 @@ class ScenarioService:
         """
         with get_tracer().span("service.admit", cat="service", kind=req.kind):
             if not self.simulator_breaker.allow():
-                get_registry().counter("service.shed.circuit_open").inc()
-                self._shed_times.append(time.monotonic())
-                raise CircuitOpenError(
-                    f"simulator circuit open; request {req.id!r} shed (retriable)"
+                self._raise_shed(
+                    req,
+                    (CircuitOpenError, "service.shed.circuit_open", "simulator circuit open"),
                 )
-            with self._space:
-                if self._closing:
-                    raise ServiceClosedError("service is closed to new requests")
-                if req.id in self._tracked:
-                    raise ConfigError(f"duplicate request id {req.id!r}")
-                blocked = self._admission_block_locked(req)
-                if blocked is not None:
-                    if not block:
-                        self._raise_shed_locked(req, blocked)
-                    deadline = None if timeout is None else time.monotonic() + timeout
-                    while blocked is not None:
-                        if self._closing:
-                            raise ServiceClosedError(
-                                "service closed while waiting for queue space"
+            try:
+                with self._space:
+                    if self._closing:
+                        raise ServiceClosedError("service is closed to new requests")
+                    if req.id in self._tracked:
+                        raise ConfigError(f"duplicate request id {req.id!r}")
+                    blocked = self._admission_block_locked(req)
+                    if blocked is not None:
+                        if not block:
+                            self._raise_shed(req, blocked)
+                        self._wake()  # arm the ladder heartbeat: de-escalation notifies
+                        deadline = None if timeout is None else time.monotonic() + timeout
+                        while blocked is not None:
+                            if self._closing:
+                                raise ServiceClosedError(
+                                    "service closed while waiting for queue space"
+                                )
+                            remaining = (
+                                None if deadline is None else deadline - time.monotonic()
                             )
-                        remaining = (
-                            None if deadline is None else deadline - time.monotonic()
-                        )
-                        if remaining is not None and remaining <= 0:
-                            self._raise_shed_locked(req, blocked, timeout=timeout)
-                        # Adaptive admission loosens on the supervisor
-                        # tick (ladder de-escalation, limiter growth),
-                        # not only on notified queue/terminal events —
-                        # bound the wait by the tick period so a
-                        # blocked submitter re-checks instead of
-                        # sleeping forever on a notify that never comes.
-                        wait_s = self.config.poll_interval_s
-                        if remaining is not None:
-                            wait_s = min(wait_s, remaining)
-                        self._space.wait(timeout=wait_s)
-                        blocked = self._admission_block_locked(req)
-                now = time.monotonic()
-                deadline_s = (
-                    req.deadline_s
-                    if req.deadline_s is not None
-                    else self.config.default_deadline_s
-                )
-                t = _Tracked(
-                    req=req,
-                    deadline_at=(None if deadline_s is None else now + deadline_s),
-                    admitted_at=now,
-                )
-                self._tracked[req.id] = t
-                self._pending.append(t)
-                get_registry().counter("service.admitted").inc()
-                self._set_depth_locked()
+                            if remaining is not None and remaining <= 0:
+                                self._raise_shed(req, blocked, timeout=timeout)
+                            self._space.wait(timeout=remaining)
+                            blocked = self._admission_block_locked(req)
+                    now = time.monotonic()
+                    deadline_s = (
+                        req.deadline_s
+                        if req.deadline_s is not None
+                        else self.config.default_deadline_s
+                    )
+                    t = _Tracked(
+                        req=req,
+                        deadline_at=(None if deadline_s is None else now + deadline_s),
+                        admitted_at=now,
+                    )
+                    self._tracked[req.id] = t
+                    self._pending.append(t)
+                    get_registry().counter("service.admitted").inc()
+                    self._set_depth_locked()
+            except BaseException:
+                self.simulator_breaker.release()  # the probe slot allow() may hold
+                raise
+            self._wake()
         return req.id
 
     def _inflight_locked(self) -> int:
@@ -377,14 +384,20 @@ class ScenarioService:
             )
         return None
 
-    def _raise_shed_locked(
+    def _raise_shed(
         self, req: ScenarioRequest, blocked, *, timeout: "float | None" = None
     ) -> None:
         exc_cls, counter_name, reason = blocked
         get_registry().counter(counter_name).inc()
         self._shed_times.append(time.monotonic())
+        self._wake()  # refresh the shed-rate gauge and time its decay
         waited = "" if timeout is None else f" after {timeout:.3g}s"
         raise exc_cls(f"{reason}{waited}; request {req.id!r} shed (retriable)")
+
+    def _wake(self) -> None:
+        """Wake the supervisor; a full pipe already will, a closed one can't."""
+        with self._wake_lock, contextlib.suppress(OSError):
+            self._wake_w.send(b"\0")
 
     def result(self, request_id: str, timeout: "float | None" = None) -> ScenarioResult:
         """Block until ``request_id`` is terminal and return its result.
@@ -470,18 +483,17 @@ class ScenarioService:
                         w, FAILED, "service-closed: hard-killed at shutdown"
                     )
             self._stop = True
+        self._wake()
         self._supervisor.join(timeout=10.0)
         for w in self._workers:
-            try:
-                w.req_q.put_nowait(None)
-            except (OSError, ValueError):
-                pass
-        for w in self._workers:
+            w.close_pipes()  # EOF: the worker's loop returns
             w.proc.join(timeout=2.0)
             if w.proc.is_alive():
                 w.proc.kill()
                 w.proc.join(timeout=2.0)
-            w.discard_queues()
+        with self._wake_lock:
+            self._wake_r.close()
+            self._wake_w.close()
 
     def __enter__(self) -> "ScenarioService":
         return self
@@ -501,18 +513,48 @@ class ScenarioService:
                 self._check_workers()
                 self._dispatch()
                 self._observe_pressure()
+                self._wait_for_work()
             except Exception:  # pragma: no cover - supervisor must survive
                 get_registry().counter("service.supervisor_errors").inc()
-            time.sleep(self.config.poll_interval_s)
+                time.sleep(_HEARTBEAT_S)  # a persistent fault must not spin
+
+    def _wait_for_work(self) -> None:
+        """Block until a worker's result or death, a wake byte, or the
+        earliest timed duty (none: an idle service never wakes)."""
+        now = time.monotonic()
+        ready = [self._wake_r]
+        duties = []
+        with self._lock:
+            for w in self._workers:
+                ready += (w.res_r, w.proc.sentinel)
+                t = w.busy
+                if t is None and self._pending:
+                    duties.append(now)  # a deadline shed left this worker free
+                elif t is not None and t.deadline_at is not None:
+                    duties.append(t.deadline_at + self.config.kill_grace_s)
+                elif t is not None and self.config.hang_timeout_s is not None:
+                    duties.append(w.dispatched_at + self.config.hang_timeout_s)
+            # At pressure ~0 and the full tier, observe(0) changes nothing.
+            if self.ladder is not None and (
+                self._pending or self._inflight_locked()
+                or self.ladder.tier > TIER_FULL or self.ladder.pressure > _IDLE_PRESSURE
+            ):
+                duties.append(self._ladder_due)
+        if self._shed_times:
+            duties.append(self._shed_times[0] + self._SHED_RATE_WINDOW_S)
+        timeout = max(0.0, min(duties) - now) if duties else None
+        if self._wake_r in wait(ready, timeout):
+            self._wake_r.recv(65536)  # readable, so this never blocks
 
     #: Sliding window of the exported shed-rate gauge [s].
     _SHED_RATE_WINDOW_S = 5.0
 
     def _observe_pressure(self) -> None:
-        """One supervisor-tick heartbeat of the overload-control loops:
-        feed the degradation ladder its occupancy sample and refresh the
-        load-visibility gauges (in-flight, shed rate)."""
+        """Refresh the load-visibility gauges (in-flight, shed rate) and,
+        at most once per ``_HEARTBEAT_S``, feed the degradation ladder
+        its occupancy sample."""
         reg = get_registry()
+        now = time.monotonic()
         with self._lock:
             inflight = self._inflight_locked()
             outstanding = len(self._pending) + inflight
@@ -521,16 +563,15 @@ class ScenarioService:
             else:
                 capacity = self.config.queue_cap + self.config.workers
         reg.gauge("service.inflight").set(inflight)
-        if self.ladder is not None:
+        if self.ladder is not None and now >= self._ladder_due:
+            self._ladder_due = now + _HEARTBEAT_S
             tier_before = self.ladder.tier
             self.ladder.observe(outstanding / capacity)
             if self.ladder.tier < tier_before:
                 # De-escalation happens here, not on a queue event:
-                # wake blocked submitters promptly rather than leaving
-                # them to their bounded-wait re-check.
+                # wake blocked submitters.
                 with self._space:
                     self._space.notify_all()
-        now = time.monotonic()
         while self._shed_times and now - self._shed_times[0] > self._SHED_RATE_WINDOW_S:
             self._shed_times.popleft()
         reg.gauge("service.shed_rate").set(
@@ -595,17 +636,16 @@ class ScenarioService:
 
     def _drain_results(self) -> None:
         for w in self._workers:
-            while True:
-                try:
-                    msg = w.res_q.get_nowait()
-                except Exception:
-                    break
-                with self._lock:
-                    t = w.busy
-                    if t is None or t.req.id != msg.get("id"):
-                        continue  # stale result from before a restart
-                    w.busy = None
-                    self._record_outcome(t, msg)
+            # EOF: the worker died, and its sentinel reports the crash.
+            with contextlib.suppress(EOFError, OSError):
+                while w.res_r.poll():
+                    msg = w.res_r.recv()
+                    with self._lock:
+                        t = w.busy
+                        if t is None or t.req.id != msg.get("id"):
+                            continue  # stale: the request was already finished
+                        w.busy = None
+                        self._record_outcome(t, msg)
 
     def _record_outcome(self, t: _Tracked, msg: dict) -> None:
         """Apply a worker's verdict: terminal state + breaker updates.
@@ -745,7 +785,7 @@ class ScenarioService:
 
     def _replace_worker(self, i: int, w: _Worker) -> None:
         w.proc.join(timeout=5.0)
-        w.discard_queues()
+        w.close_pipes()
         get_registry().counter("service.worker_restarts").inc()
         self._workers[i] = _Worker(w.wid, self._ctx)
 
@@ -824,4 +864,5 @@ class ScenarioService:
             with get_tracer().span(
                 "service.dispatch", cat="service", kind=t.req.kind, worker=w.wid
             ):
-                w.req_q.put(msg)
+                with contextlib.suppress(OSError):  # dead: its sentinel requeues
+                    w.req_w.send(msg)

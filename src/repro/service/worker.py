@@ -1,17 +1,18 @@
 """Worker-process entrypoint of the scenario service.
 
-Workers are spawned (never forked — the parent runs dispatcher /
-collector / watchdog threads, and forking a multi-threaded parent can
-clone a held lock into the child) and loop over a private depth-1
-dispatch queue: one message in flight per worker, so the parent always
-knows exactly which request dies with a crashed worker.
+Workers are spawned (never forked — the parent runs a supervisor
+thread, and forking a multi-threaded parent can clone a held lock into
+the child) and loop over a private one-way dispatch pipe, answering on
+another: one message in flight per worker, so the parent always knows
+exactly which request dies with a crashed worker.  Each side holds only
+its own pipe ends, so EOF means the other side is gone: closing the
+dispatch pipe shuts a worker down, and a dead worker reads as EOF.
 
 The protocol is plain picklable dicts:
 
 * dispatch ``{"req": <ScenarioRequest dict>, "degraded": bool,
   "tier": int, "max_proxies_cap": int | None,
-  "remaining_s": float | None, "plan_cost_est_s": float}``;
-  ``None`` is the shutdown sentinel.
+  "remaining_s": float | None, "plan_cost_est_s": float}``.
 * result ``{"id", "worker", "status", "payload", "error", "stage_s",
   "failed_stage", "degraded", "tier"}`` — ``status`` is ``completed``
   or ``failed``; shed/poison verdicts are the *parent's* to make.
@@ -46,9 +47,8 @@ CRASH_EXIT_CODE = 23
 
 
 def _exit_with_parent(parent) -> None:
-    """Orphan watchdog: wait on the parent's sentinel, then hard-exit.
-    ``os._exit`` skips the exit hook that joins the result queue's
-    feeder thread, which would block on a pipe nobody drains."""
+    """Orphan watchdog: wait on the parent's sentinel, then hard-exit
+    whatever the main thread is running (an injected hang never returns)."""
     parent.join()
     os._exit(0)
 
@@ -97,17 +97,16 @@ def _run_one(worker_id: int, msg: dict) -> dict:
     return out
 
 
-def worker_main(worker_id: int, req_q, res_q) -> None:
-    """Loop: take one dispatch, run it, report one result.  Exits on the
-    ``None`` sentinel — or when orphaned, through a watchdog thread that
-    fires whatever the loop is doing (a SIGKILLed ``repro batch`` never
-    sends the sentinel, and an injected hang never returns).  Top-level
-    so it pickles under spawn."""
+def worker_main(worker_id: int, requests, results) -> None:
+    """Loop: take one dispatch from ``requests``, run it, send one result
+    on ``results``.  Returns on EOF (the parent closed its end, or died);
+    an orphan stuck mid-request exits through a watchdog thread instead.
+    Top-level so it pickles under spawn."""
     parent = multiprocessing.parent_process()
     if parent is not None:
         threading.Thread(target=_exit_with_parent, args=(parent,), daemon=True).start()
-    while True:
-        msg = req_q.get()
-        if msg is None:
-            return
-        res_q.put(_run_one(worker_id, msg))
+    try:
+        while True:
+            results.send(_run_one(worker_id, requests.recv()))
+    except (EOFError, OSError):
+        return  # the parent is gone or shutting this worker down

@@ -18,6 +18,7 @@ from repro.obs.metrics import get_registry
 from repro.service import (
     COMPLETED,
     FAILED,
+    HALF_OPEN,
     OPEN,
     SHED,
     CircuitOpenError,
@@ -138,7 +139,7 @@ class TestDeadlines:
         restarts0 = get_registry().counter("service.worker_restarts").value
         with ScenarioService(cfg) as svc:
             svc.submit(spin("stuck", deadline_s=0.3, inject="hang"))
-            res = svc.result("stuck", timeout=120)
+            res = svc.result("stuck", timeout=5)
             # The replacement worker still serves new requests.
             svc.submit(spin("after"))
             assert svc.result("after", timeout=120).status == COMPLETED
@@ -149,8 +150,39 @@ class TestDeadlines:
         cfg = ServiceConfig(workers=1, hang_timeout_s=0.3)
         with ScenarioService(cfg) as svc:
             svc.submit(spin("zombie", inject="hang"))
-            res = svc.result("zombie", timeout=120)
+            res = svc.result("zombie", timeout=5)
         assert res.status == FAILED and res.error.startswith("hang:")
+
+
+def _cpu_s() -> float:
+    """CPU seconds this process (all its threads, no children) has used."""
+    resource = pytest.importorskip("resource")
+    ru = resource.getrusage(resource.RUSAGE_SELF)
+    return ru.ru_utime + ru.ru_stime
+
+
+class TestIdleSupervisor:
+    @pytest.mark.parametrize("admission", ["static", "adaptive"])
+    def test_idle_service_burns_no_cpu(self, admission):
+        with ScenarioService(ServiceConfig(workers=1, admission=admission)) as svc:
+            svc.submit(spin("warm"))
+            assert svc.result("warm", timeout=120).status == COMPLETED
+            # Adaptive mode samples the ladder until the request's
+            # pressure has decayed (~0.3 s); static mode never wakes.
+            time.sleep(0.5)
+            t0, cpu0 = time.monotonic(), _cpu_s()
+            time.sleep(2.0)
+            busy = (_cpu_s() - cpu0) / (time.monotonic() - t0)
+        assert busy < 0.01, f"an idle service used {busy:.1%} of a core"
+
+    def test_close_of_idle_service_is_prompt(self):
+        svc = ScenarioService(ServiceConfig(workers=1))
+        svc.submit(spin("warm"))
+        assert svc.result("warm", timeout=120).status == COMPLETED
+        t0 = time.monotonic()
+        svc.close()
+        # The wake pipe, not the supervisor join's 10 s timeout.
+        assert time.monotonic() - t0 < 1.0
 
 
 class TestCrashes:
@@ -186,12 +218,14 @@ class TestOrphanedWorker:
         import multiprocessing, time
         from repro.service.worker import worker_main
         ctx = multiprocessing.get_context("spawn")
-        req_q, res_q = ctx.Queue(), ctx.Queue()
-        proc = ctx.Process(target=worker_main, args=(0, req_q, res_q))
+        req_r, req_w = ctx.Pipe(duplex=False)
+        res_r, res_w = ctx.Pipe(duplex=False)
+        proc = ctx.Process(target=worker_main, args=(0, req_r, res_w))
         proc.start()
-        req_q.put({"req": {"id": "warm", "kind": "spin", "params": {}}})
-        res_q.get(timeout=60)
-        req_q.put({"req": {"id": "stuck", "kind": "spin", "inject": "hang"}})
+        req_w.send({"req": {"id": "warm", "kind": "spin", "params": {}}})
+        assert res_r.poll(60)
+        res_r.recv()
+        req_w.send({"req": {"id": "stuck", "kind": "spin", "inject": "hang"}})
         print(proc.pid, flush=True)
         time.sleep(600)
     """)
@@ -294,6 +328,40 @@ class TestBreakersAndDegradedMode:
             assert res.status == COMPLETED
             assert res.degraded is False  # the probe ran the real planner
             assert svc.planner_breaker.state == "closed"
+
+    def test_rejected_submit_returns_half_open_probe_slot(self):
+        # Regression: a submit turned away after ``allow()`` reserved the
+        # half-open simulator breaker's only probe slot kept it, and every
+        # later submit was shed as circuit-open with nothing left to
+        # release the slot.
+        cfg = ServiceConfig(
+            workers=1, queue_cap=1, hang_timeout_s=2.0,
+            breaker_failure_threshold=1, breaker_recovery_s=0.2,
+        )
+        with ScenarioService(cfg) as svc:
+            svc.submit(
+                ScenarioRequest(
+                    id="sim", kind="io", params={"ncores": 512, "batch_tol": -1}
+                )
+            )
+            # "hog" queues behind "sim" and hangs the worker for 2 s once
+            # "sim" has tripped the breaker; "late" passed the breaker
+            # while it was closed and takes the freed queue slot, so the
+            # queue is still full once the breaker is half-open.
+            svc.submit(spin("hog", inject="hang"), block=True, timeout=60)
+            svc.submit(spin("late", deadline_s=1.0), block=True, timeout=60)
+            assert svc.result("sim", timeout=5).status == FAILED
+            time.sleep(0.3)
+            assert svc.simulator_breaker.state == HALF_OPEN
+            with pytest.raises(ConfigError, match="duplicate"):
+                svc.submit(spin("sim"))
+            with pytest.raises(QueueFullError):
+                svc.submit(spin("full"))
+            svc.submit(spin("fresh"), block=True, timeout=60)
+            assert svc.result("fresh", timeout=120).status == COMPLETED
+            assert svc.simulator_breaker.state == "closed"
+        assert svc.result("hog").status == FAILED
+        assert svc.result("late").status == SHED
 
 
 class TestConfigValidation:
