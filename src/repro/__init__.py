@@ -35,7 +35,6 @@ from repro.network import (
     MIRA_PARAMS,
     NetworkParams,
     PacketSim,
-    EndpointModel,
 )
 from repro.routing import DimOrderRouter, Path, ZoneId, route
 from repro.torus import RankMapping, TorusTopology, partition_shape
@@ -82,7 +81,6 @@ __all__ = [
     "MIRA_PARAMS",
     "NetworkParams",
     "PacketSim",
-    "EndpointModel",
     "DimOrderRouter",
     "Path",
     "ZoneId",

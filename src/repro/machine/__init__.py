@@ -15,25 +15,18 @@ instances from a node or core count.
 
 from repro.machine.pset import Pset, build_psets
 from repro.machine.ionode import IONode, BridgeAssignment
-from repro.machine.node import NodeRole, node_role
 from repro.machine.system import BGQSystem
 from repro.machine.mira import mira_system
 from repro.machine.faults import FaultModel, degraded_system_capacity, random_link_faults
-from repro.machine.storage import StorageFabric, fabric_capacity, storage_write_path
 
 __all__ = [
     "Pset",
     "build_psets",
     "IONode",
     "BridgeAssignment",
-    "NodeRole",
-    "node_role",
     "BGQSystem",
     "mira_system",
     "FaultModel",
     "degraded_system_capacity",
     "random_link_faults",
-    "StorageFabric",
-    "fabric_capacity",
-    "storage_write_path",
 ]

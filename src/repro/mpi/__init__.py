@@ -9,24 +9,13 @@ graphs through this layer and running them in the fluid simulator.
   rank→node placement through a :class:`repro.torus.mapping.RankMapping`.
 * :class:`repro.mpi.program.FlowProgram` — a builder for flow DAGs with
   MPI-like nonblocking put/send, waits and barriers.
-* :mod:`repro.mpi.collectives` — tree / recursive-doubling / pairwise
-  collective algorithms expressed as flow DAGs.
 * :mod:`repro.mpi.mpiio` — ROMIO-style two-phase collective I/O with
   rank-strided aggregators: **the paper's baseline** ("default MPI
-  collective I/O").
+  collective I/O"), which charges its collectives as closed-form delays.
 """
 
 from repro.mpi.comm import SimComm
 from repro.mpi.program import FlowProgram
-from repro.mpi.onesided import SimWindow
-from repro.mpi.collectives import (
-    bcast,
-    reduce,
-    allreduce,
-    gather,
-    allgather,
-    alltoallv,
-)
 from repro.mpi.mpiio import (
     CollectiveIOConfig,
     TwoPhasePlan,
@@ -37,13 +26,6 @@ from repro.mpi.mpiio import (
 __all__ = [
     "SimComm",
     "FlowProgram",
-    "SimWindow",
-    "bcast",
-    "reduce",
-    "allreduce",
-    "gather",
-    "allgather",
-    "alltoallv",
     "CollectiveIOConfig",
     "TwoPhasePlan",
     "plan_collective_write",

@@ -15,40 +15,30 @@ Two complementary simulators share the same topology/link abstractions:
   configurations to cross-validate the fluid model's contention behaviour
   (tests assert the two agree on who-shares-what).
 
-:mod:`repro.network.params` holds the calibrated Mira constants,
-:mod:`repro.network.endpoint` the per-message Messaging-Unit overhead
-model (the source of the paper's Eq. 4 threshold behaviour), and
-:mod:`repro.network.congestion` a fast closed-form makespan bound used at
-the largest scales.
+:mod:`repro.network.params` holds the calibrated Mira constants, among
+them the per-message Messaging-Unit costs ``o_msg``/``o_fwd`` that
+``FlowProgram`` and :mod:`repro.core.model` charge (the source of the
+paper's Eq. 4 threshold behaviour), and :mod:`repro.network.congestion`
+a closed-form makespan bound the tests check the fluid simulator against.
 """
 
 from repro.network.params import NetworkParams, MIRA_PARAMS
-from repro.network.endpoint import EndpointModel
 from repro.network.flow import Flow, FlowResult
 from repro.network.flowsim import FlowSim, FlowSimResult, uniform_capacities
 from repro.network.congestion import congestion_makespan
-from repro.network.stats import LinkStats, summarize_links
 from repro.network.packet import Packet
 from repro.network.packetsim import PacketSim, PacketSimResult
-from repro.network.trace import build_trace, trace_json, trace_csv, gantt
 
 __all__ = [
     "NetworkParams",
     "MIRA_PARAMS",
-    "EndpointModel",
     "Flow",
     "FlowResult",
     "FlowSim",
     "FlowSimResult",
     "uniform_capacities",
     "congestion_makespan",
-    "LinkStats",
-    "summarize_links",
     "Packet",
     "PacketSim",
     "PacketSimResult",
-    "build_trace",
-    "trace_json",
-    "trace_csv",
-    "gantt",
 ]

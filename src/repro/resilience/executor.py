@@ -682,15 +682,17 @@ def _resilient_execution(
         return corrupt
 
     def settle_round(
-        carriers: list[_Carrier], result: FlowSimResult, rnd: int, T: float
+        carriers: list[_Carrier], result: FlowSimResult, rnd: int, T: float, budget_line: float
     ) -> tuple[float, dict[int, list[_Carrier]]]:
-        """Per-carrier verdicts, ledger credit, monitor feeding."""
+        """Per-carrier verdicts, ledger credit, monitor feeding.  A late
+        carrier at a healthy rate is ok unless still in flight at the
+        round-relative ``budget_line`` (``inf``: no budget gate)."""
         round_end = 0.0
         failed_by_spec: dict[int, list[_Carrier]] = {}
         for car in carriers:
             finish = result.finish(car.exit_fid)
             ok = finish <= car.deadline
-            if not ok:
+            if not ok and finish <= budget_line:
                 fixed = car.planned_time - (
                     (2 if car.two_hop else 1) * car.share / car.planned_rate
                 )
@@ -873,13 +875,14 @@ def _resilient_execution(
                 sdc=sdc,
             )
             carriers = emit_round(prog)
+            budget_line = math.inf
             if policy.budget_s is not None and rnd > 0:
                 # Retry rounds may not run past the budget: a carrier
                 # still in flight at the budget line is cancelled there
                 # (round 0 is ungated — the budget bounds *recovery*).
-                t_rem = policy.budget_s - T
+                budget_line = policy.budget_s - T
                 for car in carriers:
-                    car.deadline = min(car.deadline, t_rem)
+                    car.deadline = min(car.deadline, budget_line)
             cutoffs = None
             if track_cutoffs:
                 cutoffs = {}
@@ -892,7 +895,7 @@ def _resilient_execution(
             telemetry.rounds += 1
             reg.counter("resilience.rounds").inc()
 
-            round_end, failed_by_spec = settle_round(carriers, result, rnd, T)
+            round_end, failed_by_spec = settle_round(carriers, result, rnd, T, budget_line)
             rspan.set(
                 carriers=len(carriers),
                 failed=sum(len(v) for v in failed_by_spec.values()),

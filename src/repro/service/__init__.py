@@ -37,6 +37,7 @@ from repro.service.errors import (
     ServiceClosedError,
     ServiceError,
     UnknownRequestError,
+    WorkerStartupError,
 )
 from repro.service.journal import Journal, load_journal
 from repro.service.request import (
@@ -88,6 +89,7 @@ __all__ = [
     "ServiceError",
     "StageError",
     "UnknownRequestError",
+    "WorkerStartupError",
     "campaign_sha",
     "canonical_json",
     "execute_request",

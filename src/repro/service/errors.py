@@ -78,6 +78,15 @@ class PoisonRequestError(ServiceError):
     code = "poison"
 
 
+class WorkerStartupError(ServiceError):
+    """Every worker slot kept dying during start-up and was given up, so
+    no request can run.  Not retriable: the fault is in the worker
+    environment, not in the request or the load."""
+
+    retriable = False
+    code = "worker-startup"
+
+
 class CorruptDataError(ServiceError):
     """The request's transfer kept failing end-to-end integrity
     verification: its seeded silent-corruption model poisons every

@@ -16,13 +16,15 @@ bookkeeping has no cross-thread races to reason about):
   ``block=True`` turns rejection into backpressure for batch drivers.
 * supervisor thread — waits on the workers' result pipes and process
   sentinels and a wake pipe written by ``submit``/``close``, or until
-  the earliest timed duty (a deadline or hang kill, the adaptive
-  ladder's heartbeat, the shed-rate window); idle, it never wakes.  It
-  drains results, detects crashed workers (restart; re-queue the
-  victim request until ``max_attempts``, then quarantine it as
-  **poison**), hard-kills workers that blow past their deadline or hang
-  limit, and dispatches queued requests to free workers (shedding any
-  whose deadline already expired while queued).
+  the earliest timed duty (a deadline or hang kill, a respawn, the
+  adaptive ladder's heartbeat, the shed-rate window); idle, it never
+  wakes.  It drains results, detects crashed workers (restart; re-queue
+  the victim request until ``max_attempts``, then quarantine it as
+  **poison**; a worker that dies before reporting ready is respawned
+  with exponential backoff, up to a cap), hard-kills workers that blow
+  past their deadline or hang limit, and dispatches queued requests to
+  free, ready workers (shedding any whose deadline already expired
+  while queued).
 * workers — see :mod:`repro.service.worker`.  One request in flight
   per worker over private pipes, so a killed worker can never corrupt
   a channel another worker is using, and the parent always knows which
@@ -61,6 +63,7 @@ states) and spans (``service.admit`` / ``service.dispatch``).
 from __future__ import annotations
 
 import contextlib
+import math
 import multiprocessing as mp
 import socket
 import threading
@@ -87,6 +90,7 @@ from repro.service.errors import (
     QueueFullError,
     ServiceClosedError,
     UnknownRequestError,
+    WorkerStartupError,
 )
 from repro.service.request import (
     COMPLETED,
@@ -107,6 +111,11 @@ _PLANNED_KINDS = ("p2p", "group", "fanin")
 _HEARTBEAT_S = 0.005
 #: Ladder pressure taken as idle: the EWMA never decays to exactly 0.
 _IDLE_PRESSURE = 1e-9
+#: Delay [s] before respawning a slot whose worker died during start-up,
+#: doubling per consecutive start-up death; after ``_STARTUP_RESPAWNS``
+#: respawns the next such death gives the slot up for good.
+_STARTUP_BACKOFF_S = 0.05
+_STARTUP_RESPAWNS = 4
 
 
 @dataclass(frozen=True)
@@ -189,13 +198,16 @@ class _Tracked:
 
 
 class _Worker:
-    """One worker slot: process + the parent's ends of its private pipes."""
+    """One worker slot: process + the parent's ends of its private pipes.
+    ``respawn_at`` is set once a worker that never reported ready is
+    seen dead: when the slot respawns (``inf``: given up)."""
 
     __slots__ = (
-        "wid", "proc", "req_w", "res_r", "busy", "dispatched_at", "degraded", "tier"
+        "wid", "proc", "req_w", "res_r", "busy", "dispatched_at", "degraded", "tier",
+        "ready", "startup_deaths", "respawn_at",
     )
 
-    def __init__(self, wid: int, ctx):
+    def __init__(self, wid: int, ctx, startup_deaths: int = 0):
         self.wid = wid
         req_r, self.req_w = ctx.Pipe(duplex=False)
         self.res_r, res_w = ctx.Pipe(duplex=False)
@@ -212,6 +224,9 @@ class _Worker:
         self.dispatched_at = 0.0
         self.degraded = False
         self.tier = TIER_FULL
+        self.ready = False
+        self.startup_deaths = startup_deaths
+        self.respawn_at: "float | None" = None
 
     def close_pipes(self) -> None:
         """Close the parent's ends; a live worker reads EOF and exits."""
@@ -302,53 +317,52 @@ class ScenarioService:
             ConfigError: duplicate request id.
         """
         with get_tracer().span("service.admit", cat="service", kind=req.kind):
-            if not self.simulator_breaker.allow():
-                self._raise_shed(
-                    req,
-                    (CircuitOpenError, "service.shed.circuit_open", "simulator circuit open"),
-                )
-            try:
-                with self._space:
-                    if self._closing:
-                        raise ServiceClosedError("service is closed to new requests")
-                    if req.id in self._tracked:
-                        raise ConfigError(f"duplicate request id {req.id!r}")
-                    blocked = self._admission_block_locked(req)
-                    if blocked is not None:
-                        if not block:
-                            self._raise_shed(req, blocked)
-                        self._wake()  # arm the ladder heartbeat: de-escalation notifies
-                        deadline = None if timeout is None else time.monotonic() + timeout
-                        while blocked is not None:
-                            if self._closing:
-                                raise ServiceClosedError(
-                                    "service closed while waiting for queue space"
-                                )
-                            remaining = (
-                                None if deadline is None else deadline - time.monotonic()
+            with self._space:
+                if self._closing:
+                    raise ServiceClosedError("service is closed to new requests")
+                if req.id in self._tracked:
+                    raise ConfigError(f"duplicate request id {req.id!r}")
+                blocked = self._admission_block_locked(req)
+                if blocked is not None:
+                    if not block:
+                        self._raise_shed(req, blocked)
+                    self._wake()  # arm the ladder heartbeat: de-escalation notifies
+                    deadline = None if timeout is None else time.monotonic() + timeout
+                    while blocked is not None:
+                        if self._closing:
+                            raise ServiceClosedError(
+                                "service closed while waiting for queue space"
                             )
-                            if remaining is not None and remaining <= 0:
-                                self._raise_shed(req, blocked, timeout=timeout)
-                            self._space.wait(timeout=remaining)
-                            blocked = self._admission_block_locked(req)
-                    now = time.monotonic()
-                    deadline_s = (
-                        req.deadline_s
-                        if req.deadline_s is not None
-                        else self.config.default_deadline_s
+                        remaining = (
+                            None if deadline is None else deadline - time.monotonic()
+                        )
+                        if remaining is not None and remaining <= 0:
+                            self._raise_shed(req, blocked, timeout=timeout)
+                        self._space.wait(timeout=remaining)
+                        blocked = self._admission_block_locked(req)
+                # Last, after any wait: the breaker may have opened while
+                # this submitter was blocked, and nothing after a granted
+                # half-open probe slot can reject the request.
+                if not self.simulator_breaker.allow():
+                    self._raise_shed(
+                        req,
+                        (CircuitOpenError, "service.shed.circuit_open", "simulator circuit open"),
                     )
-                    t = _Tracked(
-                        req=req,
-                        deadline_at=(None if deadline_s is None else now + deadline_s),
-                        admitted_at=now,
-                    )
-                    self._tracked[req.id] = t
-                    self._pending.append(t)
-                    get_registry().counter("service.admitted").inc()
-                    self._set_depth_locked()
-            except BaseException:
-                self.simulator_breaker.release()  # the probe slot allow() may hold
-                raise
+                now = time.monotonic()
+                deadline_s = (
+                    req.deadline_s
+                    if req.deadline_s is not None
+                    else self.config.default_deadline_s
+                )
+                t = _Tracked(
+                    req=req,
+                    deadline_at=(None if deadline_s is None else now + deadline_s),
+                    admitted_at=now,
+                )
+                self._tracked[req.id] = t
+                self._pending.append(t)
+                get_registry().counter("service.admitted").inc()
+                self._set_depth_locked()
             self._wake()
         return req.id
 
@@ -465,13 +479,9 @@ class ScenarioService:
                 return
             self._closing = True
             if not drain:
-                while self._pending:
-                    t = self._pending.popleft()
-                    self.simulator_breaker.release()
-                    self._finish_locked(
-                        t, SHED, error="service-closed: shut down before dispatch"
-                    )
-                self._set_depth_locked()
+                self._fail_pending_locked(
+                    SHED, "service-closed: shut down before dispatch"
+                )
             self._space.notify_all()
         if drain:
             self.wait_all(timeout=timeout)
@@ -526,9 +536,13 @@ class ScenarioService:
         duties = []
         with self._lock:
             for w in self._workers:
+                if w.respawn_at is not None:  # died during start-up
+                    if math.isfinite(w.respawn_at):
+                        duties.append(w.respawn_at)
+                    continue
                 ready += (w.res_r, w.proc.sentinel)
                 t = w.busy
-                if t is None and self._pending:
+                if t is None and self._pending and w.ready:
                     duties.append(now)  # a deadline shed left this worker free
                 elif t is not None and t.deadline_at is not None:
                     duties.append(t.deadline_at + self.config.kill_grace_s)
@@ -580,6 +594,14 @@ class ScenarioService:
 
     def _set_depth_locked(self) -> None:
         get_registry().gauge("service.queue_depth").set(len(self._pending))
+
+    def _fail_pending_locked(self, status: str, error: str) -> None:
+        """Finish every queued request with ``status``/``error``."""
+        while self._pending:
+            t = self._pending.popleft()
+            self.simulator_breaker.release()
+            self._finish_locked(t, status, error=error)
+        self._set_depth_locked()
 
     def _finish_locked(
         self,
@@ -640,6 +662,10 @@ class ScenarioService:
             with contextlib.suppress(EOFError, OSError):
                 while w.res_r.poll():
                     msg = w.res_r.recv()
+                    if "ready" in msg:
+                        w.ready = True
+                        w.startup_deaths = 0
+                        continue
                     with self._lock:
                         t = w.busy
                         if t is None or t.req.id != msg.get("id"):
@@ -708,7 +734,10 @@ class ScenarioService:
         now = time.monotonic()
         for i, w in enumerate(self._workers):
             if not w.proc.is_alive():
-                self._on_worker_crash(i, w)
+                if w.ready:
+                    self._on_worker_crash(i, w)
+                else:
+                    self._on_startup_death(i, w, now)
                 continue
             with self._lock:
                 t = w.busy
@@ -762,6 +791,23 @@ class ScenarioService:
                     self._set_depth_locked()
         self._replace_worker(i, w)
 
+    def _on_startup_death(self, i: int, w: _Worker, now: float) -> None:
+        """A worker died before reporting ready, so it held no request:
+        respawn the slot after an exponential backoff, or give it up."""
+        if w.respawn_at is None:
+            w.startup_deaths += 1
+            w.respawn_at = now + _STARTUP_BACKOFF_S * 2 ** (w.startup_deaths - 1)
+            if w.startup_deaths > _STARTUP_RESPAWNS:
+                w.respawn_at = math.inf
+        if now >= w.respawn_at:
+            self._replace_worker(i, w)
+        elif all(x.respawn_at == math.inf for x in self._workers):
+            with self._space:  # no worker will ever run the queue
+                self._fail_pending_locked(
+                    FAILED, f"{WorkerStartupError.code}: every worker slot died "
+                    "during start-up too often and was given up",
+                )
+
     def _hard_kill_locked(self, w: _Worker, status: str, error: str) -> None:
         """Kill a worker's process and finish its request.  Caller holds
         the lock; the slot is NOT replaced (shutdown path)."""
@@ -787,13 +833,13 @@ class ScenarioService:
         w.proc.join(timeout=5.0)
         w.close_pipes()
         get_registry().counter("service.worker_restarts").inc()
-        self._workers[i] = _Worker(w.wid, self._ctx)
+        self._workers[i] = _Worker(w.wid, self._ctx, w.startup_deaths)
 
     def _dispatch(self) -> None:
         now = time.monotonic()
         for w in self._workers:
-            if not w.proc.is_alive():
-                continue  # replaced on the next _check_workers pass
+            if not w.ready or not w.proc.is_alive():
+                continue  # starting up, or replaced on the next _check_workers pass
             with self._space:
                 if w.busy is not None or not self._pending:
                     continue

@@ -10,6 +10,9 @@ dispatch pipe shuts a worker down, and a dead worker reads as EOF.
 
 The protocol is plain picklable dicts:
 
+* ready ``{"ready": worker_id}`` — sent once, before the first dispatch
+  is read; the parent dispatches only to workers that sent it, and a
+  worker that dies without it died during start-up.
 * dispatch ``{"req": <ScenarioRequest dict>, "degraded": bool,
   "tier": int, "max_proxies_cap": int | None,
   "remaining_s": float | None, "plan_cost_est_s": float}``.
@@ -106,6 +109,7 @@ def worker_main(worker_id: int, requests, results) -> None:
     if parent is not None:
         threading.Thread(target=_exit_with_parent, args=(parent,), daemon=True).start()
     try:
+        results.send({"ready": worker_id})
         while True:
             results.send(_run_one(worker_id, requests.recv()))
     except (EOFError, OSError):

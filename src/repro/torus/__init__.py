@@ -40,7 +40,6 @@ from repro.torus.partition import (
     nodes_for_cores,
     CORES_PER_NODE,
 )
-from repro.torus.submachine import Submachine, SubmachineAllocator
 
 __all__ = [
     "Coord",
@@ -65,6 +64,4 @@ __all__ = [
     "partition_shape",
     "nodes_for_cores",
     "CORES_PER_NODE",
-    "Submachine",
-    "SubmachineAllocator",
 ]

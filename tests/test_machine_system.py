@@ -4,7 +4,6 @@ import pytest
 
 from repro.machine import BGQSystem, mira_system
 from repro.machine.ionode import assign_bridges
-from repro.machine.node import NodeRole, node_role
 from repro.machine.pset import build_psets
 from repro.network.params import MIRA_PARAMS
 from repro.util.validation import ConfigError
@@ -45,13 +44,6 @@ class TestStructure:
             mira_system()
         with pytest.raises(ConfigError):
             mira_system(nnodes=128, ncores=2048)
-
-    def test_node_role(self, system128):
-        bridges = system128.bridge_nodes
-        some_bridge = next(iter(bridges))
-        assert node_role(some_bridge, bridges) == NodeRole.BRIDGE
-        non_bridge = next(n for n in range(128) if n not in bridges)
-        assert node_role(non_bridge, bridges) == NodeRole.COMPUTE
 
 
 class TestLinkSpace:

@@ -155,6 +155,28 @@ class TestBudgetedBatchedRetries:
                 assert b.telemetry.budget_exhausted
 
 
+    def test_carrier_in_flight_at_budget_line_is_cut_off(self):
+        """A retry carrier that is late but healthy still stops at the
+        budget line: it is never counted as a slow-but-ok finish past
+        the budget."""
+        system = mira_system(nnodes=128)
+        trace = FaultTrace(
+            (FaultEvent(link=1, factor=0.02, start=0.0),)
+            + tuple(FaultEvent(link=l, factor=0.0, start=0.0) for l in (3, 5, 7))
+        )
+        (out,) = run_resilient_transfer_many(
+            system,
+            [[TransferSpec(src=0, dst=127, nbytes=4489380)]],
+            traces=trace,
+            policy=RetryPolicy(max_retries=3, budget_s=0.125),
+            max_proxies=4,
+        )
+        assert out.makespan <= 0.125
+        assert not out.complete
+        assert out.telemetry.budget_exhausted
+        assert out.delivered_bytes + out.residue_bytes == out.total_bytes
+
+
 class TestBatchedCancellation:
     def test_armed_scope_that_never_fires_is_zero_drift(self):
         """An installed-but-idle CancelScope must not perturb a single

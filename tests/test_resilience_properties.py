@@ -14,7 +14,7 @@ Three acceptance-level properties:
 
 import math
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.core.multipath import TransferSpec
 from repro.core.planner import TransferPlanner
@@ -188,6 +188,13 @@ class TestLedgerExactlyOnce:
         assert led.outstanding_extents() == [] and led.holders() == []
 
 
+# A slowed proxy route plus three dead ones: the round-1 direct retry is
+# still in flight at the budget line, late but at a healthy rate.
+BUDGET_LINE_EVENTS = [FaultEvent(link=1, factor=0.02, start=0.0, end=math.inf)] + [
+    FaultEvent(link=l, factor=0.0, start=0.0, end=math.inf) for l in (3, 5, 7)
+]
+
+
 class TestBudgetInvariants:
     @settings(max_examples=20, deadline=None)
     @given(
@@ -195,6 +202,7 @@ class TestBudgetInvariants:
         budget=st.floats(min_value=0.01, max_value=0.3),
         nbytes=st.integers(min_value=1, max_value=8 * MiB),
     )
+    @example(events=BUDGET_LINE_EVENTS, budget=0.125, nbytes=4489380)
     def test_budgeted_runs_never_raise_and_conserve_bytes(
         self, events, budget, nbytes
     ):

@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 
 from repro.obs.metrics import get_registry
+from repro.service import service as service_module
 from repro.service import (
     COMPLETED,
     FAILED,
@@ -28,6 +29,7 @@ from repro.service import (
     ServiceClosedError,
     ServiceConfig,
     UnknownRequestError,
+    WorkerStartupError,
     payload_checksum,
 )
 from repro.util.validation import ConfigError
@@ -39,6 +41,14 @@ def spin(rid, duration_s=0.005, **kw):
     return ScenarioRequest(
         id=rid, kind="spin", params={"duration_s": duration_s}, **kw
     )
+
+
+def warm(svc):
+    """Run one request, so the pool's worker has reported ready: a
+    request with a short deadline then starts at once instead of
+    expiring in the queue while the worker boots."""
+    svc.submit(spin("warm"))
+    assert svc.result("warm", timeout=120).status == COMPLETED
 
 
 class TestHappyPath:
@@ -126,6 +136,7 @@ class TestDeadlines:
     def test_cooperative_mid_run_deadline(self):
         cfg = ServiceConfig(workers=1, kill_grace_s=5.0)
         with ScenarioService(cfg) as svc:
+            warm(svc)
             svc.submit(spin("late", duration_s=10.0, deadline_s=0.3))
             res = svc.result("late", timeout=120)
         # kill_grace is generous, so this must be the *cooperative* path:
@@ -138,6 +149,7 @@ class TestDeadlines:
         cfg = ServiceConfig(workers=1, kill_grace_s=0.1)
         restarts0 = get_registry().counter("service.worker_restarts").value
         with ScenarioService(cfg) as svc:
+            warm(svc)
             svc.submit(spin("stuck", deadline_s=0.3, inject="hang"))
             res = svc.result("stuck", timeout=5)
             # The replacement worker still serves new requests.
@@ -201,6 +213,39 @@ class TestCrashes:
         assert get_registry().counter("service.poison_quarantined").value > poisoned0
 
 
+def _die_before_ready(worker_id, requests, results):
+    """A worker target that exits during start-up, before ``ready``."""
+    os._exit(3)
+
+
+class TestStartupDeaths:
+    def test_start_up_deaths_back_off_then_fail_the_queue(self, monkeypatch):
+        # Regression: a worker that died at start-up was respawned at
+        # once, forever — the restart counter climbed without bound, and
+        # the queued request was blamed for the deaths as poison.
+        monkeypatch.setattr(service_module, "worker_main", _die_before_ready)
+        restarts0 = get_registry().counter("service.worker_restarts").value
+        svc = ScenarioService(ServiceConfig(workers=1))
+        try:
+            t0 = time.monotonic()
+            svc.submit(spin("stranded"))
+            res = svc.result("stranded", timeout=30)
+            elapsed = time.monotonic() - t0
+            time.sleep(0.5)  # a given-up slot stays down
+            restarts = get_registry().counter("service.worker_restarts").value
+        finally:
+            svc.close(drain=False)
+        assert res.status == FAILED
+        assert res.error.startswith(f"{WorkerStartupError.code}:")
+        assert WorkerStartupError.retriable is False
+        assert restarts - restarts0 == service_module._STARTUP_RESPAWNS
+        backoff = sum(
+            service_module._STARTUP_BACKOFF_S * 2**k
+            for k in range(service_module._STARTUP_RESPAWNS)
+        )
+        assert elapsed >= backoff
+
+
 def _alive(pid: int) -> bool:
     """True while ``pid`` runs (a zombie awaiting its reaper counts as gone)."""
     try:
@@ -223,6 +268,7 @@ class TestOrphanedWorker:
         proc = ctx.Process(target=worker_main, args=(0, req_r, res_w))
         proc.start()
         req_w.send({"req": {"id": "warm", "kind": "spin", "params": {}}})
+        assert res_r.poll(60) and "ready" in res_r.recv()
         assert res_r.poll(60)
         res_r.recv()
         req_w.send({"req": {"id": "stuck", "kind": "spin", "inject": "hang"}})
@@ -330,10 +376,11 @@ class TestBreakersAndDegradedMode:
             assert svc.planner_breaker.state == "closed"
 
     def test_rejected_submit_returns_half_open_probe_slot(self):
-        # Regression: a submit turned away after ``allow()`` reserved the
-        # half-open simulator breaker's only probe slot kept it, and every
-        # later submit was shed as circuit-open with nothing left to
-        # release the slot.
+        # Regressions: a submitter blocked on a full queue was admitted
+        # after the breaker had opened, because the breaker was checked
+        # before the wait; and a submit turned away after ``allow()``
+        # reserved the half-open breaker's only probe slot kept it, so
+        # every later submit was shed as circuit-open.
         cfg = ServiceConfig(
             workers=1, queue_cap=1, hang_timeout_s=2.0,
             breaker_failure_threshold=1, breaker_recovery_s=0.2,
@@ -345,23 +392,31 @@ class TestBreakersAndDegradedMode:
                 )
             )
             # "hog" queues behind "sim" and hangs the worker for 2 s once
-            # "sim" has tripped the breaker; "late" passed the breaker
-            # while it was closed and takes the freed queue slot, so the
-            # queue is still full once the breaker is half-open.
+            # "sim" has tripped the breaker; "late" waits for the slot
+            # "hog" frees, and by then the breaker is open.
             svc.submit(spin("hog", inject="hang"), block=True, timeout=60)
-            svc.submit(spin("late", deadline_s=1.0), block=True, timeout=60)
+            with pytest.raises(CircuitOpenError):
+                svc.submit(spin("late"), block=True, timeout=60)
             assert svc.result("sim", timeout=5).status == FAILED
+            # Fill the queue behind "hog" while the breaker is closed,
+            # then reopen it: at half-open the queue is full and the
+            # only probe slot is free.
+            svc.simulator_breaker.record_success()
+            svc.submit(spin("queued"))
+            svc.simulator_breaker.record_failure()
             time.sleep(0.3)
             assert svc.simulator_breaker.state == HALF_OPEN
             with pytest.raises(ConfigError, match="duplicate"):
                 svc.submit(spin("sim"))
             with pytest.raises(QueueFullError):
                 svc.submit(spin("full"))
+            # Admitted once "hog" is killed and "queued" dispatched, while
+            # the breaker is still half-open: the probe slot was free.
             svc.submit(spin("fresh"), block=True, timeout=60)
             assert svc.result("fresh", timeout=120).status == COMPLETED
             assert svc.simulator_breaker.state == "closed"
         assert svc.result("hog").status == FAILED
-        assert svc.result("late").status == SHED
+        assert svc.result("queued").status == COMPLETED
 
 
 class TestConfigValidation:
