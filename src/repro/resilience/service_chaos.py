@@ -375,7 +375,7 @@ def run_service_campaign(
     ``out_path`` (schema ``chaos-service/1``, atomic) and journals
     every terminal record to ``journal_path`` (default:
     ``<out>.journal``) as it lands.  The returned summary additionally
-    carries the non-deterministic live measurements — goodput,
+    carries the non-deterministic live measurements — live statuses,
     shed counts, gauge trajectories, wall time — for
     ``benchmarks/record.py`` to fold into ``BENCH_resilience.json``.
     """
@@ -715,14 +715,6 @@ def run_service_campaign(
     live_statuses: "dict[str, int]" = {}
     for o in live_outcomes:
         live_statuses[o.status] = live_statuses.get(o.status, 0) + 1
-    live_window = (
-        max((o.finished_at or 0.0) for o in live_outcomes)
-        if live_outcomes
-        else 0.0
-    )
-    goodput_rps = (
-        live_statuses.get(COMPLETED, 0) / live_window if live_window > 0 else 0.0
-    )
     summary = {
         "schema": SERVICE_CHAOS_FORMAT,
         "config": config.to_dict(),
@@ -735,7 +727,6 @@ def run_service_campaign(
         "resumed": len(done),
         "driven": len(todo),
         "live_statuses": live_statuses,
-        "goodput_rps": goodput_rps,
         "shed_events": live_statuses.get("shed", 0)
         + live_statuses.get("rejected", 0),
         "counts": counts,
@@ -752,7 +743,6 @@ def run_service_campaign(
         f"{counts.get(FAILED, 0)} failed (injected), "
         f"{n_corrupt_quarantined} corrupt-data quarantined, "
         f"{summary['shed_events']} live shed/rejected, "
-        f"goodput {goodput_rps:.1f} req/s, "
         f"invariants {'PASS' if summary['passed'] else 'FAIL'}"
     )
     return summary

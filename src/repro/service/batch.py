@@ -12,11 +12,15 @@ A campaign file is a JSON document::
       ]
     }
 
-:func:`run_batch` executes every scenario through a
-:class:`ScenarioService`, journaling each terminal result to a
-write-ahead journal (:mod:`repro.service.journal`) as it lands, and
-finally writes a ``campaign-results/1`` document — results sorted by
-id, canonical formatting, atomic temp+rename write.
+:func:`run_batch` executes every scenario, journaling each terminal
+result to a write-ahead journal (:mod:`repro.service.journal`) as it
+lands, and finally writes a ``campaign-results/1`` document — results
+sorted by id, canonical formatting, atomic temp+rename write.
+Deadline-free transfer scenarios are simulated together in waves of
+``_WAVE`` through the batched engine, and each wave's records are
+journaled before the next wave is computed; every other scenario, and
+any wave whose batched call fails, runs through a
+:class:`ScenarioService`.
 
 Because scenario payloads are deterministic and the journal is fsynced
 record-by-record, a campaign SIGKILLed at any point can be rerun with
@@ -53,6 +57,12 @@ log = get_logger(__name__)
 #: Campaign / results format tags.
 CAMPAIGN_FORMAT = "campaign/1"
 RESULTS_FORMAT = "campaign-results/1"
+
+#: Deadline-free transfer scenarios per batched call.  Each wave's
+#: records are journaled before the next wave is computed; each wave
+#: also restarts the batched engine's lockstep rounds, a fixed cost per
+#: call, so waves stay in the hundreds.
+_WAVE = 360
 
 
 def campaign_sha(doc: Mapping[str, Any]) -> str:
@@ -175,6 +185,36 @@ def _batchable(req: ScenarioRequest) -> bool:
     return req.kind in ("p2p", "group", "fanin") and req.deadline_s is None
 
 
+def _run_wave(wave: "list[ScenarioRequest]", journal: Journal) -> "dict[str, dict]":
+    """Simulate one wave of batchable scenarios; journal and return its records.
+
+    If the batched call raises (bad params, planner error), it returns
+    no records, so the service runs the wave's scenarios and reports the
+    failure per request.
+    """
+    from repro.service.scenarios import run_transfer_kinds_batched
+
+    try:
+        payloads = run_transfer_kinds_batched([(r.kind, r.params) for r in wave])
+    except Exception as exc:
+        get_registry().counter("service.batch.fast_path_fallback").inc(len(wave))
+        log.warning(
+            "batched fast path failed (%s: %s); "
+            "%d scenario(s) go through the service",
+            type(exc).__name__, exc, len(wave),
+        )
+        return {}
+    get_registry().counter("service.batch.fast_path").inc(len(wave))
+    records = {}
+    for req, payload in zip(wave, payloads):
+        record = ScenarioResult(
+            id=req.id, kind=req.kind, status=COMPLETED, payload=payload
+        ).record()
+        journal.append(record)
+        records[req.id] = record
+    return records
+
+
 def run_batch(
     campaign_path: "Path | str",
     out_path: "Path | str",
@@ -191,14 +231,19 @@ def run_batch(
     campaign runs; with it, intact journaled results are reused.
 
     Deadline-free transfer scenarios are simulated together through
-    :func:`repro.service.scenarios.run_transfer_kinds_batched` — one
-    block-diagonal :class:`~repro.network.batchsim.BatchFlowSim` pass
-    per machine size — instead of one service request each.  A worker
+    :func:`repro.service.scenarios.run_transfer_kinds_batched`, in
+    campaign order and in waves of ``_WAVE`` — one block-diagonal
+    :class:`~repro.network.batchsim.BatchFlowSim` pass per machine size
+    per wave — instead of one service request each.  Each wave's
+    records are journaled (one fsync'd append per record) before the
+    next wave is computed, so the first records are durable after one
+    wave rather than after the whole campaign, and planning inputs,
+    flow programs and flow results live one wave at a time.  A worker
     runs the same function on one item, so payloads (and hence journal
     records and the results file) are the ones the service would
-    produce.  Everything else goes through the service.  If the batched
-    call raises, its whole group goes through the service too, which
-    reports any failure per request; the
+    produce.  Everything else goes through the service.  If a wave's
+    batched call raises, that wave's scenarios go through the service
+    too, which reports any failure per request; the
     ``service.batch.fast_path_fallback`` counter and a one-line log
     warning surface that.
     """
@@ -235,35 +280,8 @@ def run_batch(
     merged: "dict[str, dict]" = dict(done)
     try:
         fast = [r for r in todo if _batchable(r)]
-        if fast:
-            from repro.service.scenarios import run_transfer_kinds_batched
-
-            sink = _JournalSink(journal)
-            try:
-                payloads = run_transfer_kinds_batched(
-                    [(r.kind, r.params) for r in fast]
-                )
-            except Exception as exc:
-                # Any failure (bad params, planner error) sends the whole
-                # group through the service, which reports it per request.
-                get_registry().counter("service.batch.fast_path_fallback").inc(
-                    len(fast)
-                )
-                log.warning(
-                    "batched fast path failed (%s: %s); "
-                    "%d scenario(s) go through the service",
-                    type(exc).__name__, exc, len(fast),
-                )
-                fast = []
-            else:
-                get_registry().counter("service.batch.fast_path").inc(len(fast))
-                for req, payload in zip(fast, payloads):
-                    result = ScenarioResult(
-                        id=req.id, kind=req.kind, status=COMPLETED,
-                        payload=payload,
-                    )
-                    sink(result)
-                    merged[req.id] = result.record()
+        for start in range(0, len(fast), _WAVE):
+            merged.update(_run_wave(fast[start:start + _WAVE], journal))
         serial = [r for r in todo if r.id not in merged]
         if serial:
             with ScenarioService(config, on_result=_JournalSink(journal)) as svc:

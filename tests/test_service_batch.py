@@ -10,6 +10,9 @@ from pathlib import Path
 
 import pytest
 
+import repro.service.batch as batch
+import repro.service.scenarios as scenarios
+from repro.obs.metrics import MetricsRegistry, use_registry
 from repro.service import (
     Journal,
     ScenarioRequest,
@@ -168,13 +171,83 @@ class TestBatchDeterminism:
         assert (tmp_path / "r1.json").read_bytes() == (tmp_path / "r2.json").read_bytes()
 
 
+class TestWaves:
+    """The fast path journals each wave of transfer scenarios before it
+    computes the next, and a wave whose batched call fails falls back to
+    the service alone.  ``make_demo_campaign(16)`` has 12 transfer
+    scenarios, so waves of 4 give three batched calls."""
+
+    def test_each_wave_is_durable_before_the_next_runs(self, tmp_path, monkeypatch):
+        camp = tmp_path / "c.json"
+        atomic_write_json(camp, make_demo_campaign(16))
+        out = tmp_path / "r.json"
+        journal = tmp_path / "r.json.journal"
+        real = scenarios.run_transfer_kinds_batched
+        journaled_at_call = []
+
+        def spy(items, **kwargs):
+            journaled_at_call.append(len(load_journal(journal)[1]))
+            return real(items, **kwargs)
+
+        monkeypatch.setattr(batch, "_WAVE", 4)
+        monkeypatch.setattr(scenarios, "run_transfer_kinds_batched", spy)
+        summary = run_batch(camp, out, config=CFG)
+        assert journaled_at_call == [0, 4, 8]
+        assert summary["counts"]["completed"] == 16
+
+    def test_a_failing_wave_falls_back_alone(self, tmp_path, monkeypatch):
+        doc = make_demo_campaign(16)
+        bad = doc["scenarios"][5]
+        assert (bad["id"], bad["kind"]) == ("demo-0005", "group")
+        bad["params"]["nbytes"] = 0  # parses, then the batched call raises
+        camp = tmp_path / "c.json"
+        atomic_write_json(camp, doc)
+        # Reference: one wave, so the failure sends every transfer
+        # scenario through the service.
+        run_batch(camp, tmp_path / "one-wave.json", config=CFG)
+
+        submitted = []
+
+        class RecordingService(batch.ScenarioService):
+            def submit(self, req, *args, **kwargs):
+                submitted.append(req.id)
+                return super().submit(req, *args, **kwargs)
+
+        monkeypatch.setattr(batch, "_WAVE", 4)
+        monkeypatch.setattr(batch, "ScenarioService", RecordingService)
+        out = tmp_path / "waves.json"
+        with use_registry(MetricsRegistry()) as registry:
+            run_batch(camp, out, config=CFG)
+        counters = registry.snapshot()["counters"]
+        assert counters["service.batch.fast_path"] == 8
+        assert counters["service.batch.fast_path_fallback"] == 4
+        wave = ["demo-0005", "demo-0006", "demo-0008", "demo-0009"]
+        spins = ["demo-0003", "demo-0007", "demo-0011", "demo-0015"]
+        assert sorted(submitted) == sorted(wave + spins)
+        results = json.loads(out.read_bytes())["results"]
+        assert [r["id"] for r in results if r["status"] != "completed"] == [
+            "demo-0005"
+        ]
+        assert out.read_bytes() == (tmp_path / "one-wave.json").read_bytes()
+
+
 class TestSigkillResume:
     """The acceptance scenario: SIGKILL a batch mid-campaign, resume,
     and get results byte-identical to an uninterrupted run."""
 
-    def test_sigkill_then_resume_is_byte_identical(self, tmp_path):
+    @pytest.mark.parametrize(
+        "n, wave, kill_at",
+        [
+            # One wave (the default size): killed after 3 records.
+            (16, None, 3),
+            # Waves of 4: killed once the journal holds a full wave.
+            (40, 4, 4),
+        ],
+        ids=["one-wave", "between-waves"],
+    )
+    def test_sigkill_then_resume_is_byte_identical(self, tmp_path, n, wave, kill_at):
         camp = tmp_path / "c.json"
-        atomic_write_json(camp, make_demo_campaign(16))
+        atomic_write_json(camp, make_demo_campaign(n))
         # Reference: an uninterrupted run.
         run_batch(camp, tmp_path / "ref.json", config=CFG)
         ref = (tmp_path / "ref.json").read_bytes()
@@ -182,10 +255,12 @@ class TestSigkillResume:
         out = tmp_path / "killed.json"
         journal = tmp_path / "killed.journal"
         driver = tmp_path / "driver.py"
+        set_wave = "" if wave is None else f"    repro.service.batch._WAVE = {wave}\n"
         driver.write_text(
-            "import sys\n"
+            "import repro.service.batch\n"
             "from repro.service import run_batch, ServiceConfig\n"
             "def main():\n"
+            f"{set_wave}"
             f"    run_batch({str(camp)!r}, {str(out)!r},\n"
             f"              journal_path={str(journal)!r},\n"
             "              config=ServiceConfig(workers=2))\n"
@@ -199,10 +274,13 @@ class TestSigkillResume:
         )
         proc = subprocess.Popen([sys.executable, str(driver)], env=env)
         try:
-            # Wait until some results are durably journaled, then SIGKILL.
+            # Wait until kill_at records (after the header line) are
+            # durably journaled, then SIGKILL.
             deadline = time.monotonic() + 120
             while time.monotonic() < deadline:
-                if journal.exists() and len(journal.read_bytes().splitlines()) >= 4:
+                if journal.exists() and (
+                    journal.read_bytes().count(b"\n") > kill_at
+                ):
                     break
                 if proc.poll() is not None:
                     pytest.fail("batch driver exited before it could be killed")
@@ -216,7 +294,7 @@ class TestSigkillResume:
         summary = run_batch(
             camp, out, journal_path=journal, resume=True, config=CFG
         )
-        assert summary["resumed"] >= 3, "journaled work was not reused"
+        assert summary["resumed"] >= kill_at, "journaled work was not reused"
         assert summary["ran"] >= 1, "the kill landed after completion"
-        assert summary["resumed"] + summary["ran"] == 16
+        assert summary["resumed"] + summary["ran"] == n
         assert out.read_bytes() == ref

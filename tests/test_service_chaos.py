@@ -188,7 +188,6 @@ class TestCampaignInvariants:
         assert summary["invariants"]["ledger-conservation"]
         assert summary["invariants"]["metrics-monotone"]
         assert sum(summary["counts"].values()) == SMALL["n_requests"]
-        assert summary["goodput_rps"] > 0
         traj = summary["trajectories"]
         assert traj["t_s"] and len(traj["t_s"]) == len(traj["inflight"])
 
