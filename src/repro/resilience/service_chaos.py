@@ -442,33 +442,16 @@ def run_service_campaign(
     journal_lock = threading.Lock()
     live_records: "list[dict]" = []
     record_by_id: "dict[str, dict]" = {}
-    record_landed = threading.Condition(journal_lock)
     completed_n = [0]
 
     def on_result(result) -> None:
         record = result.record()
-        with record_landed:
+        with journal_lock:
             journal.append(record)
             live_records.append(record)
             record_by_id[record["id"]] = record
             if record["status"] == COMPLETED:
                 completed_n[0] += 1
-            record_landed.notify_all()
-
-    def await_record(rid: str, timeout_s: float = 30.0) -> dict:
-        # on_result fires *after* the per-request done event, so a
-        # result() return does not imply the journal append happened
-        # yet — wait for the callback explicitly.
-        deadline = time.monotonic() + timeout_s
-        with record_landed:
-            while rid not in record_by_id:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    raise TimeoutError(
-                        f"result {rid} never reached the journal sink"
-                    )
-                record_landed.wait(remaining)
-            return record_by_id[rid]
 
     svc_config = ServiceConfig(
         workers=config.workers,
@@ -513,16 +496,10 @@ def run_service_campaign(
             # -- drain: re-drive everything without a deterministic
             #    terminal record (overload sheds / client rejections).
             # Settle first: every *admitted* request must have reached
-            # the journal sink, or the drain could re-run a request
-            # whose completion is still in flight (a real duplicate).
+            # the journal sink (wait_all returns after the callbacks),
+            # or the drain could re-run a request whose completion is
+            # still in flight (a real duplicate).
             svc.wait_all(timeout=240.0)
-            settle_deadline = time.monotonic() + 30.0
-            while time.monotonic() < settle_deadline:
-                with record_landed:
-                    landed = len(record_by_id)
-                if landed >= int(svc.stats().get("admitted", 0)):
-                    break
-                time.sleep(0.01)
             finals: "dict[str, dict]" = dict(done)
             with journal_lock:
                 snapshot = list(live_records)
@@ -574,8 +551,8 @@ def run_service_campaign(
                         svc.submit(req, block=True, timeout=120.0)
                         batch.append(req)
                     for req in batch:
-                        svc.result(req.id, timeout=240.0)
-                        record = await_record(req.id)
+                        svc.result(req.id, timeout=240.0)  # after on_result
+                        record = record_by_id[req.id]
                         base = _base_id(req.id)
                         if _trusted(
                             record,

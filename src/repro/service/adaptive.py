@@ -38,9 +38,6 @@ decreases count on ``service.limiter.decreases``.
 
 from __future__ import annotations
 
-import threading
-from typing import Callable
-
 from repro.obs.metrics import get_registry
 from repro.util.validation import ConfigError
 
@@ -66,10 +63,9 @@ class AdaptiveLimiter:
         cooldown_s: minimum wall-clock spacing between decreases, so a
             burst of stale samples counts once.
         ewma_alpha: smoothing of the service-time EWMA.
-        clock: monotonic time source (overridable for tests).
 
-    Thread-safe; the service's submit path and supervisor thread call
-    concurrently.
+    Feedback calls take ``now`` (monotonic seconds) for the decrease
+    cooldown; the service's supervisor core is the only caller.
     """
 
     def __init__(
@@ -84,7 +80,6 @@ class AdaptiveLimiter:
         decrease_factor: float = 0.7,
         cooldown_s: float = 0.1,
         ewma_alpha: float = 0.2,
-        clock: Callable[[], float] = None,  # type: ignore[assignment]
     ):
         if min_limit < 1:
             raise ConfigError(f"min_limit must be >= 1, got {min_limit}")
@@ -108,10 +103,6 @@ class AdaptiveLimiter:
             raise ConfigError(f"ewma_alpha must be in (0, 1], got {ewma_alpha}")
         if cooldown_s < 0:
             raise ConfigError(f"cooldown_s must be >= 0, got {cooldown_s}")
-        if clock is None:
-            import time
-
-            clock = time.monotonic
         self.min_limit = min_limit
         self.max_limit = max_limit
         self.latency_target_s = latency_target_s
@@ -120,8 +111,6 @@ class AdaptiveLimiter:
         self.decrease_factor = decrease_factor
         self.cooldown_s = cooldown_s
         self.ewma_alpha = ewma_alpha
-        self._clock = clock
-        self._lock = threading.Lock()
         self._limit = float(initial if initial is not None else min_limit)
         self._limit = min(max(self._limit, min_limit), max_limit)
         self._service_ewma: "float | None" = None
@@ -134,21 +123,15 @@ class AdaptiveLimiter:
     @property
     def limit(self) -> int:
         """Current admission limit (whole requests)."""
-        with self._lock:
-            return int(self._limit)
+        return int(self._limit)
 
     @property
     def service_time_ewma(self) -> "float | None":
         """Observed service-time EWMA [s] (``None`` before any sample)."""
-        with self._lock:
-            return self._service_ewma
+        return self._service_ewma
 
     def target_latency_s(self) -> "float | None":
         """The latency target in force (``None`` until one is learnable)."""
-        with self._lock:
-            return self._target_locked()
-
-    def _target_locked(self) -> "float | None":
         if self.latency_target_s is not None:
             return self.latency_target_s
         if self._service_ewma is None:
@@ -157,40 +140,38 @@ class AdaptiveLimiter:
 
     def would_admit(self, outstanding: int) -> bool:
         """Does ``outstanding`` (pending + in-flight) fit under the limit?"""
-        with self._lock:
-            return outstanding < int(self._limit)
+        return outstanding < int(self._limit)
 
     # -- feedback ------------------------------------------------------------
 
-    def on_completion(self, latency_s: float, service_s: "float | None") -> None:
-        """A request completed: ``latency_s`` is admission → terminal,
-        ``service_s`` dispatch → terminal (feeds the uncontended-RTT
-        estimate)."""
-        with self._lock:
-            if service_s is not None and service_s >= 0:
-                if self._service_ewma is None:
-                    self._service_ewma = float(service_s)
-                else:
-                    a = self.ewma_alpha
-                    self._service_ewma = (1 - a) * self._service_ewma + a * service_s
-            target = self._target_locked()
-            if target is None or latency_s <= target:
-                self._limit = min(
-                    self.max_limit, self._limit + self.increase / max(self._limit, 1.0)
-                )
+    def on_completion(
+        self, latency_s: float, service_s: "float | None", now: float
+    ) -> None:
+        """A request completed at ``now``: ``latency_s`` is admission →
+        terminal, ``service_s`` dispatch → terminal (feeds the
+        uncontended-RTT estimate)."""
+        if service_s is not None and service_s >= 0:
+            if self._service_ewma is None:
+                self._service_ewma = float(service_s)
             else:
-                self._decrease_locked()
-            self._publish()
+                a = self.ewma_alpha
+                self._service_ewma = (1 - a) * self._service_ewma + a * service_s
+        target = self.target_latency_s()
+        if target is None or latency_s <= target:
+            self._limit = min(
+                self.max_limit, self._limit + self.increase / max(self._limit, 1.0)
+            )
+        else:
+            self._decrease(now)
+        self._publish()
 
-    def on_overload(self) -> None:
-        """A latency-terminal outcome (deadline missed in queue or
-        mid-run): treat as an over-target sample."""
-        with self._lock:
-            self._decrease_locked()
-            self._publish()
+    def on_overload(self, now: float) -> None:
+        """A latency-terminal outcome at ``now`` (deadline missed in
+        queue or mid-run): treat as an over-target sample."""
+        self._decrease(now)
+        self._publish()
 
-    def _decrease_locked(self) -> None:
-        now = self._clock()
+    def _decrease(self, now: float) -> None:
         if now - self._last_decrease < self.cooldown_s:
             return
         self._last_decrease = now

@@ -39,9 +39,6 @@ each upward entry counts on ``service.degrade.enter_<name>``.
 
 from __future__ import annotations
 
-import threading
-from typing import Callable
-
 from repro.obs.metrics import get_registry
 from repro.util.validation import ConfigError
 
@@ -71,10 +68,9 @@ class DegradationLadder:
         min_dwell_s: minimum time spent in a tier before de-escalating.
         ewma_alpha: smoothing of the pressure EWMA.
         reduced_k: proxy-count cap applied at tier 1.
-        clock: monotonic time source (overridable for tests).
 
-    Thread-safe: the supervisor feeds :meth:`observe`, the submit path
-    reads :meth:`tier`.
+    :meth:`observe` takes ``now`` (monotonic seconds) for the dwell; the
+    service's supervisor core is the only caller.
     """
 
     def __init__(
@@ -85,7 +81,6 @@ class DegradationLadder:
         min_dwell_s: float = 0.25,
         ewma_alpha: float = 0.3,
         reduced_k: int = 2,
-        clock: Callable[[], float] = None,  # type: ignore[assignment]
     ):
         if len(enter) != 3 or any(e2 <= e1 for e1, e2 in zip(enter, enter[1:])):
             raise ConfigError(
@@ -103,36 +98,29 @@ class DegradationLadder:
             raise ConfigError(f"ewma_alpha must be in (0, 1], got {ewma_alpha}")
         if reduced_k < 1:
             raise ConfigError(f"reduced_k must be >= 1, got {reduced_k}")
-        if clock is None:
-            import time
-
-            clock = time.monotonic
         self.enter = tuple(float(e) for e in enter)
         self.hysteresis = hysteresis
         self.min_dwell_s = min_dwell_s
         self.ewma_alpha = ewma_alpha
         self.reduced_k = reduced_k
-        self._clock = clock
-        self._lock = threading.Lock()
         self._pressure = 0.0
         self._tier = TIER_FULL
-        self._entered_at = self._clock()
+        self._entered_at = 0.0  # read only above the full tier
         get_registry().gauge("service.degrade_tier").set(TIER_FULL)
 
     @property
     def pressure(self) -> float:
         """Current smoothed pressure (queue-occupancy EWMA)."""
-        with self._lock:
-            return self._pressure
+        return self._pressure
 
     @property
     def tier(self) -> int:
         """Current ladder tier (0..3)."""
-        with self._lock:
-            return self._tier
+        return self._tier
 
-    def observe(self, occupancy: float) -> int:
-        """Feed one occupancy sample; returns the (possibly new) tier.
+    def observe(self, occupancy: float, now: float) -> int:
+        """Feed one occupancy sample taken at ``now``; returns the
+        (possibly new) tier.
 
         Escalation is immediate (to however many tiers the smoothed
         pressure has climbed past); de-escalation steps down one tier at
@@ -141,26 +129,24 @@ class DegradationLadder:
         """
         if occupancy < 0:
             raise ConfigError(f"occupancy must be >= 0, got {occupancy}")
-        with self._lock:
-            a = self.ewma_alpha
-            self._pressure = (1 - a) * self._pressure + a * float(occupancy)
-            now = self._clock()
-            target = TIER_FULL
-            for t, threshold in enumerate(self.enter, start=1):
-                if self._pressure >= threshold:
-                    target = t
-            if target > self._tier:
-                self._set_tier_locked(target, now)
-            elif self._tier > TIER_FULL:
-                exit_below = self.enter[self._tier - 1] - self.hysteresis
-                if (
-                    self._pressure < exit_below
-                    and now - self._entered_at >= self.min_dwell_s
-                ):
-                    self._set_tier_locked(self._tier - 1, now)
-            return self._tier
+        a = self.ewma_alpha
+        self._pressure = (1 - a) * self._pressure + a * float(occupancy)
+        target = TIER_FULL
+        for t, threshold in enumerate(self.enter, start=1):
+            if self._pressure >= threshold:
+                target = t
+        if target > self._tier:
+            self._set_tier(target, now)
+        elif self._tier > TIER_FULL:
+            exit_below = self.enter[self._tier - 1] - self.hysteresis
+            if (
+                self._pressure < exit_below
+                and now - self._entered_at >= self.min_dwell_s
+            ):
+                self._set_tier(self._tier - 1, now)
+        return self._tier
 
-    def _set_tier_locked(self, tier: int, now: float) -> None:
+    def _set_tier(self, tier: int, now: float) -> None:
         if tier > self._tier:
             get_registry().counter(
                 f"service.degrade.enter_{tier_name(tier)}"

@@ -71,6 +71,11 @@ class Journal:
     def open_for_append(cls, path: "Path | str", campaign_sha: str) -> "Journal":
         """Reopen an existing journal to continue a resumed campaign.
 
+        A torn tail (the fragment of an append cut short by a crash) is
+        truncated away first, so the next record starts on a line of its
+        own instead of extending the fragment into one line that
+        :func:`load_journal` would stop at, hiding every later record.
+
         Raises :class:`JournalMismatchError` if the journal was written
         for a different campaign document — resuming someone else's
         journal would silently mix results.
@@ -82,6 +87,12 @@ class Journal:
                 f"journal {path} belongs to campaign {existing_sha[:12]}..., "
                 f"not {campaign_sha[:12]}...; refusing to resume"
             )
+        with open(path, "rb+") as raw:
+            intact = raw.read().rfind(b"\n") + 1
+            if intact < raw.tell():
+                raw.truncate(intact)
+                raw.flush()
+                os.fsync(raw.fileno())
         fh = open(path, "a", encoding="utf-8")
         return cls(path, campaign_sha, fh)
 

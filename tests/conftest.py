@@ -3,11 +3,12 @@
 Session-scoped because the objects are immutable-by-convention (tests
 never mutate a system) and topology construction at 2K nodes is not free.
 
-Also provides a minimal stand-in for the ``pytest-timeout`` plugin when
-it is not installed (CI installs the real one from the ``test`` extras;
-hermetic environments may not have it): ``@pytest.mark.timeout(N)`` and
-the ``timeout`` ini default are honoured via SIGALRM, which is enough to
-keep a hung service test from wedging the whole suite.
+Registers the ``ci-deep`` Hypothesis profile.  Also provides a minimal
+stand-in for the ``pytest-timeout`` plugin when it is not installed (CI
+installs the real one from the ``test`` extras; hermetic environments
+may not have it): ``@pytest.mark.timeout(N)`` and the ``timeout`` ini
+default are honoured via SIGALRM, which is enough to keep a hung service
+test from wedging the whole suite.
 """
 
 from __future__ import annotations
@@ -16,12 +17,20 @@ import importlib.util
 import signal
 
 import pytest
+from hypothesis import settings
 
 from repro.machine import BGQSystem, mira_system
 from repro.network.params import MIRA_PARAMS
 from repro.torus.topology import TorusTopology
 
 _HAVE_PYTEST_TIMEOUT = importlib.util.find_spec("pytest_timeout") is not None
+
+#: A deeper search for tests that leave their example budget to the
+#: profile (the supervisor core's state machine): ``pytest
+#: --hypothesis-profile=ci-deep``.  Tier-1 keeps Hypothesis's default.
+settings.register_profile(
+    "ci-deep", max_examples=1000, stateful_step_count=100, deadline=None
+)
 
 
 if not _HAVE_PYTEST_TIMEOUT:

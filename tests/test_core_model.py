@@ -1,9 +1,13 @@
 """Analytic transfer model (paper Eqs. 1–5)."""
 
+import math
+
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from repro.core.model import TransferModel
+from repro.core.multipath import TransferSpec, run_transfer
+from repro.core.proxy_select import find_proxies
 from repro.network.params import MIRA_PARAMS, NetworkParams
 from repro.util.units import KiB, MiB
 from repro.util.validation import ConfigError
@@ -49,6 +53,40 @@ class TestEq2Proxy:
     def test_k_validated(self, model):
         with pytest.raises(ConfigError):
             model.proxy_time(MiB, 0)
+
+
+class TestSimulatorTakesTheClosedForms:
+    """On an idle partition the simulator's times are the paper's closed
+    forms: Eq. 1 for a direct transfer, and Eq. 2 with the shares the
+    flow program emits (the largest is ``ceil(d / k)``) for k proxies.
+    Fig. 5–7's crossovers rest on both, so this fails if the simulator,
+    the flow emission or the calibration drifts from them."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        big=st.booleans(),
+        data=st.data(),
+        nbytes=st.integers(1000, 128 * MiB),
+        k=st.sampled_from([3, 4, 5]),
+    )
+    def test_uncontended_transfers_take_eqs_1_and_2(
+        self, system128, system512, big, data, nbytes, k
+    ):
+        system = system512 if big else system128
+        src, dst = data.draw(
+            st.lists(st.integers(0, system.nnodes - 1), min_size=2, max_size=2, unique=True)
+        )
+        p, r = system.params, TransferModel(system.params).stream_rate
+        spec = [TransferSpec(src, dst, nbytes)]
+        direct = run_transfer(system, spec, mode="direct")
+        assert direct.makespan == pytest.approx(p.o_msg + nbytes / r, rel=1e-12, abs=0)
+        plan = find_proxies(system, [(src, dst)], max_proxies=k)
+        used = plan.assignments[(src, dst)].k
+        assume(used >= TransferModel.MIN_BENEFICIAL_PROXIES)
+        proxy = run_transfer(system, spec, mode="proxy", assignments=plan.assignments)
+        assert proxy.mode_used[(src, dst)].startswith("proxy")
+        eq2 = 2 * p.o_msg + p.o_fwd + 2 * math.ceil(nbytes / used) / r
+        assert proxy.makespan == pytest.approx(eq2, rel=1e-12, abs=0)
 
 
 class TestEq5Asymptotics:

@@ -1,7 +1,10 @@
 """ScenarioService: admission, deadlines, watchdog, breakers, degraded mode.
 
-Worker pools spawn real processes, so tests share service instances
-where possible and keep pools small.
+Worker pools spawn real processes, so one process test stays per I/O
+path and pools stay small.  A test whose claim is a policy claim drives
+the supervisor core through a fake shell instead (no process), and runs
+the worker's own code in this process where the claim needs a real
+scenario result.
 """
 
 import os
@@ -15,8 +18,10 @@ from pathlib import Path
 import pytest
 
 from repro.obs.metrics import get_registry
+from repro.service import core as core_module
 from repro.service import service as service_module
 from repro.service import (
+    CLOSED,
     COMPLETED,
     FAILED,
     HALF_OPEN,
@@ -32,7 +37,9 @@ from repro.service import (
     WorkerStartupError,
     payload_checksum,
 )
+from repro.service.breaker import FAILURE_THRESHOLD, RECOVERY_S
 from repro.util.validation import ConfigError
+from tests.service_harness import FakeShell
 
 pytestmark = pytest.mark.timeout(180)
 
@@ -76,28 +83,42 @@ class TestHappyPath:
                 svc.result("slow", timeout=0.01)
             assert svc.result("slow", timeout=120).status == COMPLETED
 
+    def test_wait_all_returns_after_every_callback(self):
+        # Regression: a request's done event was set before its
+        # on_result callback ran, so wait_all() returned while a slow
+        # callback (a journal fsync) was still running.
+        called = []
+
+        def slow_sink(res):
+            time.sleep(0.05)
+            called.append(res.id)
+
+        with ScenarioService(ServiceConfig(workers=2), on_result=slow_sink) as svc:
+            ids = [svc.submit(spin(f"cb{i}")) for i in range(10)]
+            assert svc.wait_all(timeout=120)
+            assert sorted(called) == sorted(ids)
+
 
 class TestAdmission:
     def test_queue_full_sheds_fast_with_typed_retriable_error(self):
-        cfg = ServiceConfig(workers=1, queue_cap=2)
-        with ScenarioService(cfg) as svc:
-            # Saturate: the pool is 1-wide and each spin takes ~1s.
-            admitted = []
-            rejected = 0
-            for i in range(20):
-                try:
-                    admitted.append(svc.submit(spin(f"q{i}", duration_s=0.4)))
-                except QueueFullError as exc:
-                    rejected += 1
-                    assert exc.retriable is True
-                    assert exc.code == "queue-full"
-            assert rejected > 0, "bounded queue never shed"
-            assert len(admitted) >= 2  # at least the queue's capacity
-            # Everything admitted still reaches a terminal state.
-            assert svc.wait_all(timeout=120)
-            for rid in admitted:
-                assert svc.result(rid).status == COMPLETED
-        assert get_registry().counter("service.shed.queue_full").value >= rejected
+        shed0 = get_registry().counter("service.shed.queue_full").value
+        shell = FakeShell(workers=1, queue_cap=2)
+        admitted = []
+        rejected = 0
+        for i in range(20):
+            try:
+                admitted.append(shell.submit(f"q{i}"))
+            except QueueFullError as exc:
+                rejected += 1
+                assert exc.retriable is True
+                assert exc.code == "queue-full"
+        # One request runs on the 1-wide pool, the queue holds two.
+        assert admitted == ["q0", "q1", "q2"] and rejected == 17
+        # Everything admitted still reaches a terminal state.
+        while shell.running:
+            shell.reply(0, dt=0.4)
+        assert all(shell.results[rid].status == COMPLETED for rid in admitted)
+        assert get_registry().counter("service.shed.queue_full").value - shed0 == rejected
 
     def test_blocking_submit_applies_backpressure(self):
         cfg = ServiceConfig(workers=1, queue_cap=1)
@@ -123,15 +144,15 @@ class TestAdmission:
 
 class TestDeadlines:
     def test_deadline_expired_in_queue_is_shed(self):
-        cfg = ServiceConfig(workers=1, queue_cap=8)
-        with ScenarioService(cfg) as svc:
-            svc.submit(spin("hog", duration_s=1.0))
-            time.sleep(0.1)  # let the hog occupy the only worker
-            svc.submit(spin("doomed", deadline_s=0.2))
-            res = svc.result("doomed", timeout=120)
-            assert res.status == SHED
-            assert res.error.startswith("deadline:")
-            assert svc.result("hog", timeout=120).status == COMPLETED
+        shell = FakeShell(workers=1, queue_cap=8)
+        shell.submit("hog")  # occupies the only worker for 1 s
+        shell.submit("doomed", deadline_s=0.2)
+        shell.reply(0, dt=1.0)
+        res = shell.results["doomed"]
+        assert res.status == SHED
+        assert res.error.startswith("deadline:")
+        assert shell.results["hog"].status == COMPLETED
+        assert not shell.running  # the worker was never handed "doomed"
 
     def test_cooperative_mid_run_deadline(self):
         cfg = ServiceConfig(workers=1, kill_grace_s=5.0)
@@ -159,11 +180,13 @@ class TestDeadlines:
         assert get_registry().counter("service.worker_restarts").value > restarts0
 
     def test_hang_without_deadline_hits_hang_timeout(self):
-        cfg = ServiceConfig(workers=1, hang_timeout_s=0.3)
-        with ScenarioService(cfg) as svc:
-            svc.submit(spin("zombie", inject="hang"))
-            res = svc.result("zombie", timeout=5)
+        shell = FakeShell(workers=1, hang_timeout_s=0.3)
+        shell.submit("zombie", inject="hang")
+        assert shell.core.next_wake() == pytest.approx(0.3)
+        shell.tick(0.3)
+        res = shell.results["zombie"]
         assert res.status == FAILED and res.error.startswith("hang:")
+        assert shell.killed == [0] and shell.procs == ["starting"]  # respawned
 
 
 def _cpu_s() -> float:
@@ -238,10 +261,10 @@ class TestStartupDeaths:
         assert res.status == FAILED
         assert res.error.startswith(f"{WorkerStartupError.code}:")
         assert WorkerStartupError.retriable is False
-        assert restarts - restarts0 == service_module._STARTUP_RESPAWNS
+        assert restarts - restarts0 == core_module._STARTUP_RESPAWNS
         backoff = sum(
-            service_module._STARTUP_BACKOFF_S * 2**k
-            for k in range(service_module._STARTUP_RESPAWNS)
+            core_module._STARTUP_BACKOFF_S * 2**k
+            for k in range(core_module._STARTUP_RESPAWNS)
         )
         assert elapsed >= backoff
 
@@ -310,70 +333,60 @@ class TestOrphanedWorker:
 
 
 class TestBreakersAndDegradedMode:
+    """Breaker policy through the core; the worker's own code runs each
+    dispatch in this process, so plan- and simulate-stage failures and
+    the degraded direct path are real."""
+
     def test_planner_failures_trip_breaker_and_degrade(self):
-        cfg = ServiceConfig(
-            workers=1, breaker_failure_threshold=2, breaker_recovery_s=60.0
-        )
-        with ScenarioService(cfg) as svc:
-            # max_proxies=0 fails deterministically inside the *plan* stage.
-            for i in range(2):
-                svc.submit(
-                    ScenarioRequest(
-                        id=f"bad{i}", kind="p2p",
-                        params={"nnodes": 32, "max_proxies": 0},
-                    )
-                )
-                res = svc.result(f"bad{i}", timeout=120)
-                assert res.status == FAILED and "plan" in res.error
-            assert svc.planner_breaker.state == OPEN
-            # With the planner breaker open, transfers still complete —
-            # degraded to the direct single-path fallback.
-            svc.submit(ScenarioRequest(id="deg", kind="p2p", params={"nnodes": 32}))
-            res = svc.result("deg", timeout=120)
+        shell = FakeShell(workers=1)
+        # max_proxies=0 fails deterministically inside the *plan* stage.
+        for i in range(FAILURE_THRESHOLD):
+            shell.submit(f"bad{i}", "p2p", {"nnodes": 32, "max_proxies": 0})
+            shell.run(0)
+            res = shell.results[f"bad{i}"]
+            assert res.status == FAILED and "plan" in res.error
+        assert shell.core.planner_breaker.state(shell.now) == OPEN
+        # With the planner breaker open, transfers still complete —
+        # degraded to the direct single-path fallback.
+        shell.submit("deg", "p2p", {"nnodes": 32})
+        assert shell.running[0]["degraded"] is True
+        shell.run(0)
+        res = shell.results["deg"]
         assert res.status == COMPLETED
         assert res.degraded is True
         assert res.payload["degraded"] is True
         assert set(res.payload["mode_used"].values()) == {"direct"}
 
     def test_simulator_failures_trip_breaker_and_shed_at_admission(self):
-        cfg = ServiceConfig(
-            workers=1, breaker_failure_threshold=2, breaker_recovery_s=60.0
-        )
-        with ScenarioService(cfg) as svc:
-            # An io request's batch_tol=-1 fails deterministically
-            # inside *simulate*.
-            for i in range(2):
-                svc.submit(
-                    ScenarioRequest(
-                        id=f"sim{i}", kind="io",
-                        params={"ncores": 512, "batch_tol": -1},
-                    )
-                )
-                res = svc.result(f"sim{i}", timeout=120)
-                assert res.status == FAILED and "simulate" in res.error
-            assert svc.simulator_breaker.state == OPEN
-            with pytest.raises(CircuitOpenError) as exc:
-                svc.submit(spin("rejected"))
-            assert exc.value.retriable is True
+        shell = FakeShell(workers=1)
+        # An io request's batch_tol=-1 fails deterministically inside
+        # *simulate*.
+        for i in range(FAILURE_THRESHOLD):
+            shell.submit(f"sim{i}", "io", {"ncores": 512, "batch_tol": -1})
+            shell.run(0)
+            res = shell.results[f"sim{i}"]
+            assert res.status == FAILED and "simulate" in res.error
+        assert shell.core.simulator_breaker.state(shell.now) == OPEN
+        with pytest.raises(CircuitOpenError) as exc:
+            shell.submit("rejected")
+        assert exc.value.retriable is True
 
     def test_breaker_recovers_through_half_open_probe(self):
-        cfg = ServiceConfig(
-            workers=1, breaker_failure_threshold=1, breaker_recovery_s=0.2
-        )
-        with ScenarioService(cfg) as svc:
-            svc.submit(
-                ScenarioRequest(
-                    id="bad", kind="p2p", params={"nnodes": 32, "max_proxies": 0}
-                )
-            )
-            svc.result("bad", timeout=120)
-            assert svc.planner_breaker.state == OPEN
-            time.sleep(0.3)  # recovery elapses -> half-open probe allowed
-            svc.submit(ScenarioRequest(id="probe", kind="p2p", params={"nnodes": 32}))
-            res = svc.result("probe", timeout=120)
-            assert res.status == COMPLETED
-            assert res.degraded is False  # the probe ran the real planner
-            assert svc.planner_breaker.state == "closed"
+        shell = FakeShell(workers=1)
+        for i in range(FAILURE_THRESHOLD):
+            shell.submit(f"bad{i}", "p2p", {"nnodes": 32})
+            shell.reply(0, "plan")
+        planner = shell.core.planner_breaker
+        assert planner.state(shell.now) == OPEN
+        shell.tick(RECOVERY_S)  # recovery elapses -> half-open probe allowed
+        shell.submit("probe", "p2p", {"nnodes": 32})
+        assert shell.running[0]["degraded"] is False  # the real planner
+        shell.run(0)
+        res = shell.results["probe"]
+        assert res.status == COMPLETED
+        assert res.degraded is False
+        assert planner.state(shell.now) == CLOSED
+        assert planner.probes_inflight == 0
 
     def test_rejected_submit_returns_half_open_probe_slot(self):
         # Regressions: a submitter blocked on a full queue was admitted
@@ -381,42 +394,39 @@ class TestBreakersAndDegradedMode:
         # before the wait; and a submit turned away after ``allow()``
         # reserved the half-open breaker's only probe slot kept it, so
         # every later submit was shed as circuit-open.
-        cfg = ServiceConfig(
-            workers=1, queue_cap=1, hang_timeout_s=2.0,
-            breaker_failure_threshold=1, breaker_recovery_s=0.2,
-        )
-        with ScenarioService(cfg) as svc:
-            svc.submit(
-                ScenarioRequest(
-                    id="sim", kind="io", params={"ncores": 512, "batch_tol": -1}
-                )
-            )
-            # "hog" queues behind "sim" and hangs the worker for 2 s once
-            # "sim" has tripped the breaker; "late" waits for the slot
-            # "hog" frees, and by then the breaker is open.
-            svc.submit(spin("hog", inject="hang"), block=True, timeout=60)
-            with pytest.raises(CircuitOpenError):
-                svc.submit(spin("late"), block=True, timeout=60)
-            assert svc.result("sim", timeout=5).status == FAILED
-            # Fill the queue behind "hog" while the breaker is closed,
-            # then reopen it: at half-open the queue is full and the
-            # only probe slot is free.
-            svc.simulator_breaker.record_success()
-            svc.submit(spin("queued"))
-            svc.simulator_breaker.record_failure()
-            time.sleep(0.3)
-            assert svc.simulator_breaker.state == HALF_OPEN
-            with pytest.raises(ConfigError, match="duplicate"):
-                svc.submit(spin("sim"))
-            with pytest.raises(QueueFullError):
-                svc.submit(spin("full"))
-            # Admitted once "hog" is killed and "queued" dispatched, while
-            # the breaker is still half-open: the probe slot was free.
-            svc.submit(spin("fresh"), block=True, timeout=60)
-            assert svc.result("fresh", timeout=120).status == COMPLETED
-            assert svc.simulator_breaker.state == "closed"
-        assert svc.result("hog").status == FAILED
-        assert svc.result("queued").status == COMPLETED
+        shell = FakeShell(workers=1, queue_cap=1)
+        sim = shell.core.simulator_breaker
+        shell.submit("hog")
+        shell.submit("queued")  # the queue is full
+        late = spin("late")
+        assert shell.core.submit(late, shell.now, block=True) is None  # waits
+        for _ in range(FAILURE_THRESHOLD):
+            sim.record_failure(shell.now)
+        shell.reply(0, "deadline")  # "hog" ends without a verdict: room
+        with pytest.raises(CircuitOpenError):
+            shell.core.submit(late, shell.now, block=True, waited=True)
+        # Fill the queue behind "queued" while the breaker is closed,
+        # then reopen it: at half-open the queue is full and the only
+        # probe slot is free.
+        sim.record_success()
+        shell.submit("queued2")
+        for _ in range(FAILURE_THRESHOLD):
+            sim.record_failure(shell.now)
+        shell.tick(RECOVERY_S)
+        assert sim.state(shell.now) == HALF_OPEN
+        with pytest.raises(ConfigError, match="duplicate"):
+            shell.submit("queued2")
+        with pytest.raises(QueueFullError):
+            shell.submit("full")
+        # Admitted once "queued" ends and "queued2" runs, while the
+        # breaker is still half-open: the probe slot was free.
+        shell.reply(0, "deadline")
+        assert shell.submit("fresh") == "fresh"
+        assert sim.probes_inflight == 1
+        shell.reply(0)  # "queued2" completes: the breaker closes
+        shell.reply(0)  # "fresh" completes and gives its slot back
+        assert sim.state(shell.now) == CLOSED and sim.probes_inflight == 0
+        assert shell.results["fresh"].status == COMPLETED
 
 
 class TestConfigValidation:

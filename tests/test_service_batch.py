@@ -95,6 +95,23 @@ class TestJournal:
         _, records = load_journal(path)
         assert set(records) == {"a", "b"}
 
+    def test_records_appended_after_a_torn_tail_survive_reload(self, tmp_path):
+        # Regression: a resumed journal appended its first record onto
+        # the torn fragment's line, load_journal stopped there, and the
+        # next resume lost (and re-ran) everything the last one journaled.
+        path = tmp_path / "j.journal"
+        with Journal.create(path, "s") as j:
+            for rid in "abc":
+                j.append({"id": rid, "status": "failed", "error": "x"})
+        with open(path, "a") as fh:
+            fh.write('{"record": {"id": "d", "stat')  # killed mid-append
+        with Journal.open_for_append(path, "s") as j:
+            for rid in "def":
+                j.append({"id": rid, "status": "failed", "error": "y"})
+        _, records = load_journal(path)
+        assert set(records) == set("abcdef")
+        assert records["d"]["error"] == "y"
+
     def test_checksum_mismatch_drops_record(self, tmp_path):
         path = tmp_path / "j.journal"
         with Journal.create(path, "s") as j:

