@@ -59,7 +59,7 @@ def run_dynamic_transfer(
         exits = []
         for i, (share, path) in enumerate(zip(shares, paths)):
             fid = f"dyn:{spec.src}->{spec.dst}:{i}"
-            prog.flows.append(
+            prog.add(
                 Flow(
                     fid=fid,
                     size=float(share),

@@ -128,9 +128,8 @@ def run_io_movement(
     ``probe`` samples per-link utilisation (including the ION links) at
     fixed simulated-time intervals during the write.
     """
-    if mapping is None:
-        mapping = RankMapping(system.topology, ranks_per_node=1)
     comm = SimComm(system, mapping)
+    mapping = comm.mapping
     capacity_fn = None
     if faults is not None and not faults.is_null:
         capacity_fn = degraded_system_capacity(system, faults)

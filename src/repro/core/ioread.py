@@ -141,9 +141,8 @@ def run_io_read(
     lazy_frac: float = 0.0,
 ) -> IOOutcome:
     """Run one collective read of ``sizes_by_rank`` bytes from the IONs."""
-    if mapping is None:
-        mapping = RankMapping(system.topology, ranks_per_node=1)
     comm = SimComm(system, mapping)
+    mapping = comm.mapping
     prog = FlowProgram(
         comm, batch_tol=batch_tol, fair_tol=fair_tol, lazy_frac=lazy_frac
     )

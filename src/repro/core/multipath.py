@@ -11,7 +11,7 @@ and implemented here as an optional extension
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from repro.core.model import TransferModel
 from repro.core.proxy_select import ProxyAssignment, ProxyPlan, find_proxies
@@ -139,9 +139,9 @@ def build_direct_flows(
     return prog.iput_nodes(spec.src, spec.dst, spec.nbytes, label=label, tag=(spec.src, spec.dst))
 
 
-@dataclass(frozen=True)
-class CarrierEmission:
-    """Bookkeeping for one emitted carrier of a multipath transfer.
+class CarrierEmission(NamedTuple):
+    """Bookkeeping for one emitted carrier of a multipath transfer (a
+    named tuple: one is built per carrier of every proxied transfer).
 
     ``phase1`` is ``None`` for a self-carrier (the source sends its share
     on the direct path, no store-and-forward hop); ``exit`` is the flow
@@ -241,28 +241,43 @@ def build_multipath_flows(
     return done
 
 
-def _emit_spec(
+def emit_transfer_set(
     prog: FlowProgram,
-    spec: TransferSpec,
-    asg: "ProxyAssignment | None",
+    specs: Sequence[TransferSpec],
+    assignments: "Mapping[tuple[int, int], ProxyAssignment] | None",
     mode: str,
     min_proxies: int,
     model: TransferModel,
-) -> str:
-    """Emit one spec's flows per the mode policy; returns the mode tag."""
-    if mode == "direct" or asg is None or asg.k < 1:
-        use_proxy = False
-    elif mode == "proxy":
-        use_proxy = asg.k >= min_proxies
-    else:  # auto: Algorithm 1's size gate
-        use_proxy = asg.k >= min_proxies and model.use_proxies(spec.nbytes, asg.k)
-    if use_proxy and spec.nbytes < asg.k:
-        use_proxy = False  # degenerate tiny message
-    if use_proxy:
-        build_multipath_flows(prog, spec, asg)
-        return f"proxy:{asg.k}"
-    build_direct_flows(prog, spec)
-    return "direct"
+) -> "dict[tuple[int, int], str]":
+    """Emit a whole transfer set per the mode policy; returns each pair's
+    mode tag (``"direct"`` or ``"proxy:k"``).
+
+    A spec goes through its proxies (equal :func:`split_bytes` shares)
+    when it has an assignment with at least ``min_proxies`` carriers —
+    in ``"auto"`` mode also only above Algorithm 1's size gate — and at
+    least one byte per carrier; otherwise it goes direct.  Each spec is
+    emitted by :func:`build_multipath_flows_detailed` or
+    :func:`build_direct_flows`.
+    """
+    mode_used: "dict[tuple[int, int], str]" = {}
+    for spec in specs:
+        key = (spec.src, spec.dst)
+        asg = assignments.get(key) if assignments else None
+        if mode == "direct" or asg is None or asg.k < 1:
+            use_proxy = False
+        elif mode == "proxy":
+            use_proxy = asg.k >= min_proxies
+        else:  # auto: Algorithm 1's size gate
+            use_proxy = asg.k >= min_proxies and model.use_proxies(spec.nbytes, asg.k)
+        if use_proxy and spec.nbytes < asg.k:
+            use_proxy = False  # degenerate tiny message
+        if use_proxy:
+            build_multipath_flows_detailed(prog, spec, asg)
+            mode_used[key] = f"proxy:{asg.k}"
+        else:
+            build_direct_flows(prog, spec)
+            mode_used[key] = "direct"
+    return mode_used
 
 
 def run_transfer(
@@ -311,7 +326,6 @@ def run_transfer(
         comm = SimComm(system)
         prog = FlowProgram(comm, capacity_fn=capacity_fn, probe=probe)
         model = TransferModel(system.params)
-        mode_used: dict[tuple[int, int], str] = {}
         plan: "ProxyPlan | None" = None
 
         if mode in ("proxy", "auto") and assignments is None:
@@ -325,13 +339,9 @@ def run_transfer(
                 )
             assignments = plan.assignments
 
-        for spec in specs:
-            key = (spec.src, spec.dst)
-            asg = assignments.get(key) if assignments else None
-            mode_used[key] = _emit_spec(prog, spec, asg, mode, min_proxies, model)
-
+        mode_used = emit_transfer_set(prog, specs, assignments, mode, min_proxies, model)
         result = prog.run(events)
-        span.set(makespan=result.makespan, n_flows=len(prog.flows))
+        span.set(makespan=result.makespan, n_flows=len(prog.columns))
 
     reg = get_registry()
     reg.counter("transfer.runs").inc()
@@ -524,16 +534,12 @@ def run_transfer_many(
                     plan_cache[pairs] = plan
                 asg_map = plan.assignments
             prog = FlowProgram(comm, capacity_fn=capacity_fn)
-            mode_used: "dict[tuple[int, int], str]" = {}
-            for spec in specs:
-                key = (spec.src, spec.dst)
-                asg = asg_map.get(key) if asg_map else None
-                mode_used[key] = _emit_spec(prog, spec, asg, mode, min_proxies, model)
+            mode_used = emit_transfer_set(prog, specs, asg_map, mode, min_proxies, model)
             built.append(
                 (prog, mode_used, plan, float(sum(s.nbytes for s in specs)))
             )
         results = BatchFlowSim(system.params).simulate_many(
-            [(cap, prog.flows) for prog, _, _, _ in built],
+            [(cap, prog.columns) for prog, _, _, _ in built],
             events=events,
             on_error=on_error,
         )

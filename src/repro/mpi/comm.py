@@ -22,7 +22,8 @@ class SimComm:
     Args:
         system: the machine the job runs on.
         mapping: rank→node placement; defaults to one rank per node in
-            ``ABCDET`` order.
+            ``ABCDET`` order (the topology's shared
+            :attr:`~repro.torus.topology.TorusTopology.rank_mapping`).
         world_ranks: for subcommunicators — the world rank of each local
             rank.  ``None`` means the world communicator.
     """
@@ -34,11 +35,11 @@ class SimComm:
         world_ranks: "Sequence[int] | None" = None,
     ):
         self.system = system
-        self.mapping = mapping or RankMapping(system.topology, ranks_per_node=1)
+        self.mapping = mapping or system.topology.rank_mapping
         if self.mapping.topology is not system.topology:
             raise ConfigError("mapping and system must share one topology")
         if world_ranks is None:
-            self._world_ranks = tuple(range(self.mapping.nranks))
+            self._world_ranks = self.mapping.ranks
         else:
             wr = tuple(int(r) for r in world_ranks)
             if len(set(wr)) != len(wr):

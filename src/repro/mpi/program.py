@@ -1,8 +1,9 @@
 """Flow-DAG builder with MPI-like operations.
 
-:class:`FlowProgram` accumulates :class:`~repro.network.flow.Flow` records
-with automatically unique ids and explicit dependencies, then runs them in
-a :class:`~repro.network.flowsim.FlowSim`.  Operations mirror the
+:class:`FlowProgram` accumulates a flow DAG as columns
+(:class:`~repro.network.flow.FlowColumns`) with automatically unique ids
+and explicit dependencies, then runs it in a
+:class:`~repro.network.flowsim.FlowSim`.  Operations mirror the
 nonblocking MPI style the paper's mechanisms use (``MPI_Put`` between
 phases, completion detection at proxies):
 
@@ -20,7 +21,7 @@ from __future__ import annotations
 from typing import Iterable, Mapping, Sequence
 
 from repro.mpi.comm import SimComm
-from repro.network.flow import Flow, FlowId
+from repro.network.flow import Flow, FlowColumns, FlowId, check_flow
 from repro.network.flowsim import CapacityEvent, CapacityFn, FlowSim, FlowSimResult
 from repro.obs.metrics import TimeSeriesProbe
 from repro.util.validation import ConfigError
@@ -28,6 +29,10 @@ from repro.util.validation import ConfigError
 
 class FlowProgram:
     """Accumulates a flow DAG over one communicator's machine.
+
+    The flows are kept as columns (:attr:`columns`, one list per
+    :class:`Flow` field): each operation appends one checked row per
+    flow, and the simulators read the columns as they are.
 
     ``capacity_fn`` overrides the machine's pristine link-capacity map —
     pass :func:`repro.machine.faults.degraded_system_capacity` to run the
@@ -66,16 +71,44 @@ class FlowProgram:
         #: the batched driver reads it off the program the same way it
         #: reads ``capacity_fn``).
         self.sdc = sdc
-        self.flows: list[Flow] = []
+        #: The program's flows, one column per :class:`Flow` field, in
+        #: emission order: what the simulators read.
+        self.columns = FlowColumns()
         self._counter = 0
 
-    # -- id management ---------------------------------------------------------
+    @property
+    def flows(self) -> FlowColumns:
+        """The flows as a read-only ``Sequence[Flow]`` view of :attr:`columns`."""
+        return self.columns
+
+    # -- id management and appends ---------------------------------------------
 
     def _fresh(self, label: "str | None") -> str:
         self._counter += 1
         return f"{label or 'op'}#{self._counter}"
 
+    def _append(self, fid, size, path, deps, delay, rate_cap, tag, start_time=0.0) -> FlowId:
+        """Check one flow as :class:`Flow` would and append it."""
+        check_flow(fid, size, delay, start_time, rate_cap)
+        c = self.columns
+        c.fid.append(fid)
+        c.size.append(size)
+        c.path.append(path)
+        c.deps.append(tuple(deps))
+        c.delay.append(delay)
+        c.start_time.append(start_time)
+        c.rate_cap.append(rate_cap)
+        c.tag.append(tag)
+        return fid
+
     # -- operations --------------------------------------------------------------
+
+    def add(self, flow: Flow) -> FlowId:
+        """Append a flow the caller built (its own id, route and cap)."""
+        return self._append(
+            flow.fid, flow.size, flow.path, flow.deps, flow.delay, flow.rate_cap,
+            flow.tag, flow.start_time,
+        )
 
     def iput(
         self,
@@ -126,24 +159,10 @@ class FlowProgram:
         fid = self._fresh(label)
         delay = self.params.o_msg + (self.params.o_fwd if relay else 0.0)
         if src_node == dst_node:
-            path: tuple[int, ...] = ()
-            rate_cap: "float | None" = self.params.mem_bw
+            path, rate_cap = (), self.params.mem_bw
         else:
-            path = self.system.compute_path(src_node, dst_node).links
-            rate_cap = None
-        self.flows.append(
-            Flow(
-                fid=fid,
-                size=float(nbytes),
-                path=path,
-                deps=tuple(after),
-                delay=delay,
-                start_time=start_time,
-                rate_cap=rate_cap,
-                tag=tag,
-            )
-        )
-        return fid
+            path, rate_cap = self.system.compute_path(src_node, dst_node).links, None
+        return self._append(fid, float(nbytes), path, after, delay, rate_cap, tag, start_time)
 
     def iwrite_ion(
         self,
@@ -164,18 +183,10 @@ class FlowProgram:
         """
         fid = self._fresh(label)
         delay = self.params.o_msg + (self.params.o_fwd if relay else 0.0)
-        self.flows.append(
-            Flow(
-                fid=fid,
-                size=float(nbytes),
-                path=self.system.io_path(src_node),
-                deps=tuple(after),
-                delay=delay,
-                rate_cap=self.params.io_link_bw,
-                tag=tag,
-            )
+        return self._append(
+            fid, float(nbytes), self.system.io_path(src_node), after, delay,
+            self.params.io_link_bw, tag,
         )
-        return fid
 
     def iread_ion(
         self,
@@ -192,18 +203,10 @@ class FlowProgram:
         ION to the node's default bridge, then torus hops to the node.
         """
         fid = self._fresh(label)
-        self.flows.append(
-            Flow(
-                fid=fid,
-                size=float(nbytes),
-                path=self.system.io_read_path(dst_node),
-                deps=tuple(after),
-                delay=self.params.o_msg,
-                rate_cap=self.params.io_link_bw,
-                tag=tag,
-            )
+        return self._append(
+            fid, float(nbytes), self.system.io_read_path(dst_node), after,
+            self.params.o_msg, self.params.io_link_bw, tag,
         )
-        return fid
 
     def local_copy(
         self,
@@ -232,18 +235,9 @@ class FlowProgram:
         if not 0 <= node < self.system.nnodes:
             raise ConfigError(f"node {node} out of range")
         fid = self._fresh(label or "copy")
-        self.flows.append(
-            Flow(
-                fid=fid,
-                size=float(nbytes),
-                path=(),
-                deps=tuple(after),
-                delay=self.params.o_msg,
-                rate_cap=self.params.mem_bw,
-                tag=tag,
-            )
+        return self._append(
+            fid, float(nbytes), (), after, self.params.o_msg, self.params.mem_bw, tag
         )
-        return fid
 
     def event(
         self,
@@ -254,10 +248,7 @@ class FlowProgram:
     ) -> FlowId:
         """A zero-byte join node: completes when all of ``after`` have."""
         fid = self._fresh(label or "event")
-        self.flows.append(
-            Flow(fid=fid, size=0.0, path=(), deps=tuple(after), delay=delay)
-        )
-        return fid
+        return self._append(fid, 0.0, (), after, delay, None, None)
 
     def barrier(
         self,
@@ -294,7 +285,7 @@ class FlowProgram:
             lazy_frac=self.lazy_frac,
         )
         return sim.run(
-            self.flows,
+            self.columns,
             capacity_events=capacity_events,
             probe=self.probe,
             t_base=self.t_base,

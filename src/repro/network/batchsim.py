@@ -50,7 +50,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from repro.network.flow import Flow
+from repro.network.flow import Flow, FlowColumns
 from repro.network.flowsim import (
     _EMPTY_I64,
     _EPS_BYTES,
@@ -66,6 +66,8 @@ from repro.network.flowsim import (
     _flow_sim_result,
     _flow_vectors,
     _link_caps,
+    _pending,
+    _pop_due,
     _population,
     _Population,
     _segment_gather,
@@ -292,14 +294,14 @@ class _ScenarioState:
     """Mutable per-scenario bookkeeping inside one ``simulate_many``."""
 
     __slots__ = (
-        "index", "comp", "flows", "pop", "link_off", "flow_off", "T", "act",
+        "index", "comp", "cols", "pop", "link_off", "flow_off", "T", "act",
         "pending", "n_updates", "events", "ep", "cuts", "rates_valid", "dead",
     )
 
-    def __init__(self, index, comp, flows, pop, link_off, flow_off, events, cuts):
+    def __init__(self, index, comp, cols, pop, link_off, flow_off, events, cuts):
         self.index = index
         self.comp = comp  # scenario ordinal among non-empty scenarios
-        self.flows = flows
+        self.cols: FlowColumns = cols
         self.pop = pop  # the scenario's own population (local dense ids)
         self.link_off = link_off
         self.flow_off = flow_off
@@ -332,7 +334,7 @@ class BatchFlowSim:
     def simulate_many(
         self,
         scenarios: Sequence[
-            tuple["Mapping[int, float] | CapacityFn", Sequence[Flow]]
+            tuple["Mapping[int, float] | CapacityFn", "FlowColumns | Sequence[Flow]"]
         ],
         *,
         events: "Sequence[Sequence[CapacityEvent] | None] | None" = None,
@@ -343,6 +345,9 @@ class BatchFlowSim:
         sdc: "Sequence | None" = None,
     ) -> list[FlowSimResult]:
         """Run every ``(capacities, flows)`` scenario; one result each.
+
+        ``flows`` is a program's columns or a sequence of :class:`Flow`
+        records, as for :meth:`FlowSim.run`.
 
         Scenarios are mutually independent — link ids are scoped *per
         scenario* (the same id in two scenarios means two different
@@ -397,7 +402,7 @@ class BatchFlowSim:
         results: list["FlowSimResult | None"] = [None] * len(scenarios)
         errors: list["Exception | None"] = [None] * len(scenarios)
         caps_blocks: list[np.ndarray] = []
-        flows_all: list[Flow] = []
+        flow_off = 0
         link_off = 0
         for si, item in enumerate(scenarios):
             try:
@@ -407,29 +412,28 @@ class BatchFlowSim:
                     "each scenario must be a (capacities, flows) pair"
                 ) from None
             cap_of = _capacity_fn(capacities)
-            flows = list(flows)
-            if not flows:
-                results[si] = FlowSimResult({}, 0.0, {}, 0)
+            cols = FlowColumns.of(flows)
+            if not len(cols):
+                results[si] = FlowSimResult.empty()
                 continue
-            pop = _population(flows)
-            caps_blocks.append(_link_caps(cap_of, pop, flows))
-            flow_off = len(flows_all)
+            pop = _population(cols)
+            caps_blocks.append(_link_caps(cap_of, pop, cols.fid))
             states.append(_ScenarioState(
-                si, len(states), flows, pop, link_off, flow_off,
+                si, len(states), cols, pop, link_off, flow_off,
                 _checked_events(events[si] if events is not None else None),
                 _CutSchedule(
                     cutoffs[si] if cutoffs is not None else None,
-                    pop.fid_to_idx, flow_off,
+                    pop.fid_to_idx, cols.fid, flow_off,
                 ),
             ))
-            flows_all.extend(flows)
+            flow_off += len(cols)
             link_off += pop.nl
 
         if not states:  # every scenario was empty
             return results
 
         # ---- global block-diagonal system -------------------------------
-        nf = len(flows_all)
+        nf = flow_off
         nl = link_off
         g = _stack([st.pop for st in states])
         real_flat, real_lens = g.real_flat, g.real_lens
@@ -438,9 +442,10 @@ class BatchFlowSim:
         child_flat, child_ptr, child_lens = g.child_flat, g.child_ptr, g.child_lens
         dep_count = g.dep_count0.copy()  # consumed as dependencies release
         size_arr, start_arr, delay_arr, rate_caps_all = _flow_vectors(
-            flows_all, self.params
+            [st.cols for st in states], self.params
         )
         remaining = size_arr.copy()
+        empty = (size_arr <= _EPS_BYTES).tolist()  # activates with nothing to send
         caps_full = np.concatenate(caps_blocks + [rate_caps_all])
 
         # Scenario ordinal of every global flow and dense link (real
@@ -448,7 +453,7 @@ class BatchFlowSim:
         # component labels `_waterfill_blocks` freezes in parallel.
         comp_flow = np.repeat(
             np.arange(len(states), dtype=np.int64),
-            [len(st.flows) for st in states],
+            [len(st.cols) for st in states],
         )
         comp_dense = np.concatenate([
             np.repeat(
@@ -466,10 +471,8 @@ class BatchFlowSim:
         nfl_act = np.zeros(nl + nf, dtype=np.float64)
 
         for st in states:
-            for li, f in enumerate(st.flows):
-                gi = st.flow_off + li
-                if dep_count[gi] == 0:
-                    heapq.heappush(st.pending, (f.start_time + f.delay, gi))
+            fs = slice(st.flow_off, st.flow_off + len(st.cols))
+            st.pending = _pending(dep_count[fs], start_arr[fs], delay_arr[fs], st.flow_off)
 
         have_deps = len(child_flat) > 0
 
@@ -500,13 +503,8 @@ class BatchFlowSim:
 
         def activate_due(st: _ScenarioState, t: float):
             new_act: list[int] = []
-            while st.pending and st.pending[0][0] <= t + 1e-18:
-                t_act, i = heapq.heappop(st.pending)
-                start_rec[i] = t_act
-                if remaining[i] <= _EPS_BYTES:
-                    finish_flows(st, np.array([i], dtype=np.int64), t_act)
-                else:
-                    new_act.append(i)
+            for zero in _pop_due(st.pending, t, empty, start_rec, new_act):
+                finish_flows(st, *zero)
             if new_act:
                 for i in new_act:
                     lo = ptr[i]
@@ -517,7 +515,7 @@ class BatchFlowSim:
                 )
 
         def apply_cuts_due(st: _ScenarioState, t: float):
-            st.cuts.apply(t, flows_all, size_arr, remaining, done)
+            st.cuts.apply(t, size_arr, remaining, done)
 
         def apply_events_due(st: _ScenarioState, t: float):
             while st.ep < len(st.events) and st.events[st.ep].time <= t + 1e-18:
@@ -580,7 +578,7 @@ class BatchFlowSim:
                         # The solo run's error, verbatim: this scenario's
                         # zero-rate flows in activation order.
                         err = _stall_error(
-                            st.flows, st.pop, caps_full[st.link_off:],
+                            st.cols.fid, st.pop, caps_full[st.link_off:],
                             sel[bad_mask & (cf_sel == c)] - st.flow_off,
                         )
                         if on_error == "raise":
@@ -716,9 +714,9 @@ class BatchFlowSim:
         alive = [st for st in states if not st.dead]
         for st in alive:
             apply_cuts_due(st, np.inf)  # cuts past the makespan
-            fs = slice(st.flow_off, st.flow_off + len(st.flows))
+            fs = slice(st.flow_off, st.flow_off + len(st.cols))
             results[st.index] = _flow_sim_result(
-                st.flows, st.pop, done[fs], start_rec[fs], finish_rec[fs],
+                st.cols, st.pop, done[fs], start_rec[fs].copy(), finish_rec[fs].copy(),
                 link_bytes_arr[st.link_off : st.link_off + st.pop.nl],
                 st.n_updates, st.cuts.rec,
                 sdc[st.index] if sdc is not None else None,

@@ -74,7 +74,7 @@ import numpy as np
 
 from dataclasses import dataclass
 
-from repro.network.flow import Flow, FlowId, FlowResult
+from repro.network.flow import Flow, FlowColumns, FlowId, FlowResult
 from repro.network.params import MIRA_PARAMS, NetworkParams
 from repro.obs.metrics import TimeSeriesProbe, get_registry
 from repro.obs.trace import get_tracer
@@ -99,6 +99,7 @@ _INC_AUTO_MIN = 192
 CapacityFn = Callable[[int], float]
 
 _EMPTY_I64 = np.empty(0, dtype=np.int64)
+_EMPTY_F64 = np.empty(0, dtype=np.float64)
 
 
 class _Population(NamedTuple):
@@ -145,32 +146,34 @@ def _csr_ptr(lens: np.ndarray) -> np.ndarray:
     return ptr
 
 
-def _population(flows: Sequence[Flow]) -> _Population:
-    """The validated :class:`_Population` of ``flows`` (memoized)."""
-    return _population_of(tuple((f.fid, f.path, f.deps) for f in flows))
+def _population(cols: FlowColumns) -> _Population:
+    """The validated :class:`_Population` of a program's columns (memoized)."""
+    return _population_of(tuple(cols.fid), tuple(cols.path), tuple(cols.deps))
 
 
 @functools.lru_cache(maxsize=8)
-def _population_of(key: "tuple[tuple[FlowId, tuple, tuple], ...]") -> _Population:
-    """Build the population of the flows whose ``(fid, path, deps)``
-    triples are ``key``; a duplicate fid or a dependency on an unknown
-    flow or on itself is a :class:`ConfigError` (never cached).
+def _population_of(
+    fids: "tuple[FlowId, ...]", paths: "tuple[tuple, ...]", deps: "tuple[tuple, ...]"
+) -> _Population:
+    """Build the population of the flows with these ids, routes and
+    dependencies; a duplicate fid or a dependency on an unknown flow or
+    on itself is a :class:`ConfigError` (never cached).
 
     Memoized because resilience retry rounds and repeated scenarios
     resubmit identical populations under new capacities.  The arrays
     are shared, not copied: consumers treat them as immutable and copy
     the one they mutate, the dependency countdown.
     """
-    n = len(key)
+    n = len(fids)
     fid_to_idx: dict[FlowId, int] = {}
-    for i, (fid, _, _) in enumerate(key):
+    for i, fid in enumerate(fids):
         if fid in fid_to_idx:
             raise ConfigError(f"duplicate flow id {fid!r}")
         fid_to_idx[fid] = i
     parents: list[int] = []
     children: list[int] = []
-    for i, (fid, _, deps) in enumerate(key):
-        for dep in deps:
+    for i, (fid, ds) in enumerate(zip(fids, deps)):
+        for dep in ds:
             j = fid_to_idx.get(dep)
             if j is None:
                 raise ConfigError(f"flow {fid!r} depends on unknown flow {dep!r}")
@@ -184,11 +187,10 @@ def _population_of(key: "tuple[tuple[FlowId, tuple, tuple], ...]") -> _Populatio
 
     # Real links: one ``np.unique`` over every route's hops maps global
     # link ids to dense ones.
-    real_lens = np.fromiter((len(p) for _, p, _ in key), dtype=np.int64, count=n)
+    real_lens = np.fromiter(map(len, paths), dtype=np.int64, count=n)
     real_ptr = _csr_ptr(real_lens)
     flat_g = np.fromiter(
-        itertools.chain.from_iterable(p for _, p, _ in key),
-        dtype=np.int64, count=int(real_ptr[-1]),
+        itertools.chain.from_iterable(paths), dtype=np.int64, count=int(real_ptr[-1])
     )
     uniq, real_flat = np.unique(flat_g, return_inverse=True)
     real_flat = real_flat.astype(np.int64, copy=False)
@@ -286,7 +288,12 @@ def uniform_capacities(link_bw: float) -> CapacityFn:
 
 
 class FlowSimResult:
-    """Results of one :class:`FlowSim` run.
+    """Results of one :class:`FlowSim` run, held as arrays.
+
+    The result keeps the run's fid -> row map, payload sizes, tags and
+    start and finish times.  Every accessor reads those and builds
+    nothing per flow, except :attr:`results`, which builds the ``{fid:
+    FlowResult}`` dict on first access.
 
     ``cutoff_bytes`` holds, for every flow the caller passed a *cutoff*
     time for (see :meth:`FlowSim.run`), the bytes that flow had
@@ -296,35 +303,57 @@ class FlowSimResult:
 
     When the run carried a silent-data-corruption model
     (:class:`repro.machine.faults.SDCModel` via ``run(..., sdc=...)``),
-    the result is annotated with it: :meth:`wire_flip_probability`
-    reports each flow's route corruption probability.  The annotation
-    is pure metadata — SDC never changes rates or timings (that is what
-    makes it *silent*), so annotated and unannotated runs are
-    byte-identical in every physical output.
+    the result is annotated with it and the flows' routes:
+    :meth:`wire_flip_probability` reports each flow's route corruption
+    probability.  The annotation is pure metadata — SDC never changes
+    rates or timings (that is what makes it *silent*), so annotated and
+    unannotated runs are byte-identical in every physical output.
     """
 
     def __init__(
         self,
-        results: dict[FlowId, FlowResult],
-        makespan: float,
-        link_bytes: dict[int, float],
+        index: "Mapping[FlowId, int]",
+        size: Sequence[float],
+        tag: Sequence,
+        start: np.ndarray,
+        finish: np.ndarray,
+        link_bytes: "dict[int, float]",
         n_rate_updates: int,
         cutoff_bytes: "dict[FlowId, float] | None" = None,
+        sdc=None,
+        paths: "Sequence[tuple] | None" = None,
     ):
-        self.results = results
-        self.makespan = makespan
+        self._index = index
+        self._size = size
+        self._tag = tag
+        self._start = start
+        self._finish = finish
+        self.makespan = float(np.max(finish)) if len(finish) else 0.0
         self.link_bytes = link_bytes
         self.n_rate_updates = n_rate_updates
         self.cutoff_bytes = cutoff_bytes or {}
-        self.sdc = None
-        self._flow_paths: dict[FlowId, tuple] = {}
-        self._total_bytes: "float | None" = None
-        self._aggregate_throughput: "float | None" = None
-
-    def annotate_sdc(self, sdc, flows: "Sequence[Flow]") -> None:
-        """Attach the run's SDC model and flow routes (metadata only)."""
         self.sdc = sdc
-        self._flow_paths = {f.fid: f.path for f in flows}
+        self._paths = paths
+        self._results: "dict[FlowId, FlowResult] | None" = None
+
+    @classmethod
+    def empty(cls) -> "FlowSimResult":
+        """The result of a run with no flows."""
+        return cls({}, [], [], _EMPTY_F64, _EMPTY_F64, {}, 0)
+
+    @property
+    def results(self) -> "dict[FlowId, FlowResult]":
+        """Every flow's :class:`FlowResult` by fid, in submission order
+        (built on first access, then kept)."""
+        if self._results is None:
+            self._results = {
+                fid: FlowResult(fid, size, t0, t1, tag)
+                for fid, size, t0, t1, tag in zip(
+                    self._index, self._size, self._start.tolist(),
+                    self._finish.tolist(), self._tag,
+                )
+            }
+        return self._results
 
     def wire_flip_probability(self, fid: FlowId) -> float:
         """Probability this flow's payload crossed a bit-flipping link
@@ -333,57 +362,44 @@ class FlowSimResult:
         resilience executor — only it knows the extent identities."""
         if self.sdc is None:
             return 0.0
-        return self.sdc.route_flip_probability(self._flow_paths.get(fid, ()))
+        i = self._index.get(fid)
+        return self.sdc.route_flip_probability(() if i is None else self._paths[i])
 
     def __len__(self) -> int:
-        return len(self.results)
+        return len(self._index)
 
     def __getitem__(self, fid: FlowId) -> FlowResult:
-        return self.results[fid]
+        i = self._index[fid]
+        return FlowResult(
+            fid, self._size[i], self._start.item(i), self._finish.item(i), self._tag[i]
+        )
 
     def finish(self, fid: FlowId) -> float:
         """Completion time of one flow."""
-        return self.results[fid].finish
+        return self._finish.item(self._index[fid])
 
     def delivered_by_cutoff(self, fid: FlowId) -> float:
         """Bytes ``fid`` had delivered at its cutoff time (its full size
         when no cutoff was registered for it — the flow was never cut)."""
         got = self.cutoff_bytes.get(fid)
-        return float(self.results[fid].size) if got is None else got
+        return float(self._size[self._index[fid]]) if got is None else got
 
     def total_bytes(self) -> float:
-        """Sum of all flow payloads (computed once, then cached —
-        benchmarks call this inside timing loops)."""
-        if self._total_bytes is None:
-            self._total_bytes = float(sum(r.size for r in self.results.values()))
-        return self._total_bytes
+        """Sum of all flow payloads."""
+        return float(sum(self._size))
 
     def aggregate_throughput(self) -> float:
-        """Total payload divided by makespan (the paper's 'total throughput').
-
-        Cached alongside :meth:`total_bytes` — service payloads and
-        benchmark loops call it repeatedly on a finished result."""
-        if self._aggregate_throughput is None:
-            if self.makespan <= 0:
-                self._aggregate_throughput = (
-                    float("inf") if self.total_bytes() > 0 else 0.0
-                )
-            else:
-                self._aggregate_throughput = self.total_bytes() / self.makespan
-        return self._aggregate_throughput
-
-    def invalidate_caches(self) -> None:
-        """Drop the cached ``total_bytes``/``aggregate_throughput`` values.
-
-        Both caches derive from the same payload sum, so any caller that
-        mutates ``results`` in place must drop them together — never one
-        without the other."""
-        self._total_bytes = None
-        self._aggregate_throughput = None
+        """Total payload divided by makespan (the paper's 'total throughput')."""
+        total = self.total_bytes()
+        if self.makespan <= 0:
+            return float("inf") if total > 0 else 0.0
+        return total / self.makespan
 
     def by_tag(self, tag) -> list[FlowResult]:
-        """All flow results carrying ``tag``."""
-        return [r for r in self.results.values() if r.tag == tag]
+        """All flow results carrying ``tag``, in submission order."""
+        return [
+            self[fid] for fid, t in zip(self._index, self._tag) if t == tag
+        ]
 
 
 # ---------------------------------------------------------------------------
@@ -399,7 +415,7 @@ def _capacity_fn(capacities: "Mapping[int, float] | CapacityFn") -> CapacityFn:
     raise ConfigError("capacities must be a mapping or callable")
 
 
-def _link_caps(cap_of: CapacityFn, pop: _Population, flows: Sequence[Flow]) -> np.ndarray:
+def _link_caps(cap_of: CapacityFn, pop: _Population, fids: Sequence[FlowId]) -> np.ndarray:
     """Capacity of each of ``pop``'s real dense links, fetched once per
     link; a route across a link without a positive capacity (down, or
     not a number) is a :class:`ConfigError` naming the first such flow."""
@@ -410,27 +426,36 @@ def _link_caps(cap_of: CapacityFn, pop: _Population, flows: Sequence[Flow]) -> n
         i = int(np.searchsorted(pop.real_ptr, e, side="right")) - 1
         k = pop.real_flat[e]
         raise ConfigError(
-            f"flow {flows[i].fid!r}: route crosses link {int(pop.uniq[k])} with "
+            f"flow {fids[i]!r}: route crosses link {int(pop.uniq[k])} with "
             f"capacity {caps[k]}, not > 0 (link is down or misconfigured); "
             f"exclude the path or heal the link before submitting"
         )
     return caps
 
 
-def _flow_vectors(flows: Sequence[Flow], params: NetworkParams):
-    """Per-flow ``(size, start_time, delay, rate_cap)`` float arrays; a
-    ``None`` rate cap is the machine's single-stream default,
-    ``min(stream_cap, mem_bw)``."""
-    default_cap = min(params.stream_cap, params.mem_bw)
-    cols = np.array(
-        [
-            (f.size, f.start_time, f.delay,
-             default_cap if f.rate_cap is None else f.rate_cap)
-            for f in flows
-        ],
-        dtype=np.float64,
-    )
-    return tuple(np.ascontiguousarray(cols.T))
+def _flow_vectors(parts: "Sequence[FlowColumns]", params: NetworkParams):
+    """Per-flow ``(size, start_time, delay, rate_cap)`` float arrays over
+    the rows of every part, in order; a ``None`` rate cap is the
+    machine's single-stream default, ``min(stream_cap, mem_bw)``."""
+
+    def column(name: str) -> np.ndarray:
+        rows = itertools.chain.from_iterable(getattr(p, name) for p in parts)
+        return np.array(list(rows), dtype=np.float64)
+
+    size, start, delay, cap = map(column, ("size", "start_time", "delay", "rate_cap"))
+    # ``None`` converts to NaN, and only ``None`` does: a NaN cap never
+    # gets here (``check_flow`` rejects it).
+    cap[np.isnan(cap)] = min(params.stream_cap, params.mem_bw)
+    return size, start, delay, cap
+
+
+def _pending(dep_count: np.ndarray, start: np.ndarray, delay: np.ndarray, off: int = 0):
+    """The activation heap of the flows with no dependencies:
+    ``(start_time + delay, off + index)`` entries."""
+    roots = np.flatnonzero(dep_count == 0)
+    heap = list(zip((start[roots] + delay[roots]).tolist(), (roots + off).tolist()))
+    heapq.heapify(heap)
+    return heap
 
 
 def _checked_events(events) -> "list[CapacityEvent]":
@@ -447,15 +472,19 @@ def _checked_events(events) -> "list[CapacityEvent]":
 class _CutSchedule:
     """One run's validated cutoff snapshots (see :meth:`FlowSim.run`).
 
-    ``at`` maps each finite cutoff time to the flow indices it snapshots
-    (offset by ``flow_off`` — a batch's global flow ids); ``rec`` collects
-    the delivered bytes by fid as :meth:`apply` reaches each time.
+    ``at`` maps each finite cutoff time to the ``(flow index, fid)``
+    pairs it snapshots (indices offset by ``flow_off`` — a batch's global
+    flow ids); ``rec`` collects the delivered bytes by fid as
+    :meth:`apply` reaches each time.
     """
 
     __slots__ = ("at", "times", "next", "rec")
 
-    def __init__(self, cutoffs, fid_to_idx: "dict[FlowId, int]", flow_off: int = 0):
-        self.at: dict[float, list[int]] = {}
+    def __init__(
+        self, cutoffs, fid_to_idx: "dict[FlowId, int]", fids: Sequence[FlowId],
+        flow_off: int = 0,
+    ):
+        self.at: dict[float, list[tuple[int, FlowId]]] = {}
         for fid, t_cut in (cutoffs or {}).items():
             i = fid_to_idx.get(fid)
             if i is None:
@@ -464,7 +493,7 @@ class _CutSchedule:
             if t_cut < 0:
                 raise ConfigError(f"flow {fid!r}: cutoff time must be >= 0, got {t_cut}")
             if np.isfinite(t_cut):
-                self.at.setdefault(t_cut, []).append(flow_off + i)
+                self.at.setdefault(t_cut, []).append((flow_off + i, fids[i]))
         self.times = sorted(self.at)
         self.next = 0  # next unapplied cutoff time
         self.rec: dict = {}
@@ -473,7 +502,7 @@ class _CutSchedule:
         """The next unapplied cutoff time (``inf`` when none is left)."""
         return self.times[self.next] if self.next < len(self.times) else np.inf
 
-    def apply(self, t: float, flows, size, remaining, done) -> None:
+    def apply(self, t: float, size, remaining, done) -> None:
         """Snapshot delivered bytes for every cutoff whose time arrived.
 
         Rates are piecewise constant and every caller lands here with
@@ -481,12 +510,12 @@ class _CutSchedule:
         *is* the bytes delivered at the cut instant — no interpolation.
         """
         while self.next < len(self.times) and self.times[self.next] <= t + 1e-18:
-            for i in self.at[self.times[self.next]]:
+            for i, fid in self.at[self.times[self.next]]:
                 if done[i]:
                     got = float(size[i])
                 else:
                     got = float(min(size[i], max(size[i] - remaining[i], 0.0)))
-                self.rec[flows[i].fid] = got
+                self.rec[fid] = got
             self.next += 1
 
 
@@ -524,12 +553,12 @@ def _cancel_poller(cancel_check, cancel_every: int):
     return poll
 
 
-def _stall_error(flows, pop: _Population, caps, bad) -> SimulationError:
+def _stall_error(fids, pop: _Population, caps, bad) -> SimulationError:
     """The error for the flows ``bad`` (population indices, activation
     order) that a fresh solve left at zero rate: a :class:`LinkDownError`
     when their routes cross a zero-capacity link (``caps`` is indexed by
     dense link id), else starvation."""
-    fids = [flows[int(i)].fid for i in bad]
+    stalled = [fids[int(i)] for i in bad]
     down = sorted(
         {
             int(pop.uniq[k])
@@ -540,36 +569,49 @@ def _stall_error(flows, pop: _Population, caps, bad) -> SimulationError:
     )
     if down:
         return LinkDownError(
-            f"flows {fids} stalled: their routes cross "
+            f"flows {stalled} stalled: their routes cross "
             f"zero-capacity link(s) {down} (link down); the "
             f"transfers can never complete",
             links=tuple(down),
         )
-    return SimulationError(f"flows starved (zero rate): {fids}")
+    return SimulationError(f"flows starved (zero rate): {stalled}")
 
 
 def _flow_sim_result(
-    flows, pop: _Population, done, start, finish, link_bytes, n_updates, cut_rec, sdc
+    cols: FlowColumns, pop: _Population, done, start, finish, link_bytes, n_updates,
+    cut_rec, sdc,
 ) -> FlowSimResult:
-    """One run's :class:`FlowSimResult` from its per-flow and per-dense-link
-    arrays (busy links only), annotated with ``sdc``."""
+    """One run's :class:`FlowSimResult` from its columns and its per-flow
+    and per-dense-link arrays (busy links only), annotated with ``sdc``.
+    The columns are copied: a program may grow after it ran."""
     if not done.all():
-        stuck = [f.fid for f, ok in zip(flows, done.tolist()) if not ok]
+        stuck = [fid for fid, ok in zip(cols.fid, done.tolist()) if not ok]
         raise SimulationError(f"dependency cycle or stuck flows: {stuck}")
     busy = np.flatnonzero(link_bytes)
-    out = FlowSimResult(
-        {
-            f.fid: FlowResult(fid=f.fid, size=f.size, start=t0, finish=t1, tag=f.tag)
-            for f, t0, t1 in zip(flows, start.tolist(), finish.tolist())
-        },
-        float(np.max(finish)),
+    return FlowSimResult(
+        pop.fid_to_idx, list(cols.size), list(cols.tag), start, finish,
         dict(zip(pop.uniq[busy].tolist(), link_bytes[busy].tolist())),
-        n_updates,
-        cut_rec,
+        n_updates, cut_rec, sdc, None if sdc is None else list(cols.path),
     )
-    if sdc is not None:
-        out.annotate_sdc(sdc, flows)
-    return out
+
+
+def _pop_due(pending, t: float, empty: "list[bool]", start_rec, new_act: "list[int]"):
+    """Pop the flows due by ``t`` off the ``pending`` heap, in heap
+    order, recording each one's start.  Flows with bytes to send join
+    ``new_act``; flows that activate at one instant with nothing to send
+    (``empty[i]``) are yielded as one ``(indices, instant)`` batch for
+    the caller to finish, which may make more flows due."""
+    while pending and pending[0][0] <= t + 1e-18:
+        t_act, i = heapq.heappop(pending)
+        start_rec[i] = t_act
+        if not empty[i]:
+            new_act.append(i)
+            continue
+        zero = [i]
+        while pending and pending[0][0] == t_act and empty[pending[0][1]]:
+            zero.append(heapq.heappop(pending)[1])
+        start_rec[zero] = t_act
+        yield np.asarray(zero, dtype=np.int64), t_act
 
 
 def waterfill_csr(
@@ -894,7 +936,7 @@ class FlowSim:
 
     def run(
         self,
-        flows: Sequence[Flow],
+        flows: "FlowColumns | Sequence[Flow]",
         capacity_events: "Sequence[CapacityEvent] | None" = None,
         *,
         probe: "TimeSeriesProbe | None" = None,
@@ -905,6 +947,10 @@ class FlowSim:
         sdc=None,
     ) -> FlowSimResult:
         """Simulate all flows to completion and return per-flow results.
+
+        ``flows`` is a program's :class:`~repro.network.flow.FlowColumns`
+        (:attr:`repro.mpi.program.FlowProgram.columns`), read as is, or a
+        sequence of :class:`Flow` records, turned into columns once.
 
         ``sdc`` (a :class:`repro.machine.faults.SDCModel`) annotates the
         result with per-flow wire-corruption probabilities — see
@@ -953,19 +999,19 @@ class FlowSim:
         hook that is installed but never fires leaves results
         byte-identical to an unhooked run.
         """
-        flows = list(flows)
-        if not flows:
-            return FlowSimResult({}, 0.0, {}, 0)
+        cols = FlowColumns.of(flows)
+        if not len(cols):
+            return FlowSimResult.empty()
         if t_base < 0:
             raise ConfigError(f"t_base must be >= 0, got {t_base}")
         poll = _cancel_poller(cancel_check, cancel_every)
         if probe is not None:
             probe.rebase(t_base)
-        pop = _population(flows)
-        caps = _link_caps(self._cap_of, pop, flows)
+        pop = _population(cols)
+        caps = _link_caps(self._cap_of, pop, cols.fid)
         events = _checked_events(capacity_events)
-        cuts = _CutSchedule(cutoffs, pop.fid_to_idx)
-        n = len(flows)
+        cuts = _CutSchedule(cutoffs, pop.fid_to_idx, cols.fid)
+        n = len(cols)
         nl = len(caps)
         uniq, link_index, rows_unique = pop.uniq, pop.link_index, pop.rows_unique
         real_flat, real_ptr, real_lens = pop.real_flat, pop.real_ptr, pop.real_lens
@@ -973,8 +1019,9 @@ class FlowSim:
         t_flow, t_ptr, t_lens = pop.t_flow, pop.t_ptr, pop.t_lens
         child_flat, child_ptr, child_lens = pop.child_flat, pop.child_ptr, pop.child_lens
         dep_count = pop.dep_count0.copy()  # consumed as dependencies release
-        size_arr, start_arr, delay_arr, rate_caps_all = _flow_vectors(flows, self.params)
+        size_arr, start_arr, delay_arr, rate_caps_all = _flow_vectors([cols], self.params)
         remaining = size_arr.copy()
+        empty = (size_arr <= _EPS_BYTES).tolist()  # activates with nothing to send
         # Dense link space: real links, then one virtual cap link per flow.
         caps_full = np.concatenate([caps, rate_caps_all])
 
@@ -1000,10 +1047,7 @@ class FlowSim:
         done = np.zeros(n, dtype=bool)
         link_bytes_arr = np.zeros(nl)
 
-        pending: list[tuple[float, int]] = []  # (activation time, idx)
-        for i, f in enumerate(flows):
-            if dep_count[i] == 0:
-                heapq.heappush(pending, (f.start_time + f.delay, i))
+        pending = _pending(dep_count, start_arr, delay_arr)  # (activation time, idx)
 
         act = _EMPTY_I64  # active flow indices, activation order
         # Incremental per-dense-link count of active-flow entries; the
@@ -1071,7 +1115,7 @@ class FlowSim:
         def check_rates_positive(idx: np.ndarray, r: np.ndarray) -> None:
             """Raise on stalled/starved flows in one freshly solved set."""
             if np.any(r <= 0):
-                raise _stall_error(flows, pop, caps_full, idx[r <= 0])
+                raise _stall_error(cols.fid, pop, caps_full, idx[r <= 0])
 
         def finish_flows(b: np.ndarray, t: float):
             """Record completions and batch-release dependents.
@@ -1097,9 +1141,10 @@ class FlowSim:
                 np.maximum.at(ready_time, ch_idx, t)
                 np.subtract.at(dep_count, ch_idx, 1)
                 uniq_ch = np.unique(ch_idx)
-                for c in uniq_ch[dep_count[uniq_ch] == 0]:
-                    t_act = max(ready_time[c], start_arr[c]) + delay_arr[c]
-                    heapq.heappush(pending, (t_act, int(c)))
+                ready = uniq_ch[dep_count[uniq_ch] == 0]
+                t_act = np.maximum(ready_time[ready], start_arr[ready]) + delay_arr[ready]
+                for entry in zip(t_act.tolist(), ready.tolist()):
+                    heapq.heappush(pending, entry)
 
         def activate_due(t: float):
             """Move pending flows whose activation time has arrived.
@@ -1109,15 +1154,9 @@ class FlowSim:
             """
             nonlocal act, act_dirty
             new_act: list[int] = []
-            moved = False
-            while pending and pending[0][0] <= t + 1e-18:
-                t_act, i = heapq.heappop(pending)
-                start_rec[i] = t_act
-                if remaining[i] <= _EPS_BYTES:
-                    finish_flows(np.array([i], dtype=np.int64), t_act)
-                else:
-                    new_act.append(i)
-                moved = True
+            moved = bool(pending) and pending[0][0] <= t + 1e-18
+            for zero in _pop_due(pending, t, empty, start_rec, new_act):
+                finish_flows(*zero)
             if new_act:
                 b = np.asarray(new_act, dtype=np.int64)
                 np.add.at(nfl_act, flat[_segment_gather(ptr, lens_full, b)], 1.0)
@@ -1129,7 +1168,7 @@ class FlowSim:
             return moved
 
         def apply_cuts_due(t: float):
-            cuts.apply(t, flows, size_arr, remaining, done)
+            cuts.apply(t, size_arr, remaining, done)
 
         ep = 0  # next unapplied capacity event
 
@@ -1540,7 +1579,7 @@ class FlowSim:
 
         apply_cuts_due(np.inf)  # cuts past the makespan: flows fully delivered
         out = _flow_sim_result(
-            flows, pop, done, start_rec, finish_rec, link_bytes_arr, n_updates,
+            cols, pop, done, start_rec, finish_rec, link_bytes_arr, n_updates,
             cuts.rec, sdc,
         )
         makespan = out.makespan
@@ -1559,21 +1598,22 @@ class FlowSim:
                 delivered_bytes=delivered,
             )
             if run_span is not None:
-                for i, f in enumerate(flows):
+                rows = zip(cols.fid, cols.size, cols.path, cols.tag)
+                for i, (fid, size, path, tag) in enumerate(rows):
                     if i >= tracer.max_flow_spans:
                         tracer.n_dropped += n - i
                         break
-                    if f.size <= 0:
+                    if size <= 0:
                         continue
                     tracer.record(
-                        f"flow:{f.fid}",
+                        f"flow:{fid}",
                         t_base + float(start_rec[i]),
                         t_base + float(finish_rec[i]),
                         cat="flow",
                         parent=run_span,
-                        bytes=f.size,
-                        hops=len(f.path),
-                        tag=None if f.tag is None else str(f.tag),
+                        bytes=size,
+                        hops=len(path),
+                        tag=None if tag is None else str(tag),
                     )
         reg = get_registry()
         reg.counter("flowsim.runs").inc()

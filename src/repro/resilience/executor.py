@@ -1319,7 +1319,7 @@ def run_resilient_transfer_many(
         idxs = sorted(pending)
         batch = BatchFlowSim(system.params).simulate_many(
             [
-                (pending[i][1].capacity_fn or system.capacity, pending[i][1].flows)
+                (pending[i][1].capacity_fn or system.capacity, pending[i][1].columns)
                 for i in idxs
             ],
             events=[pending[i][2] for i in idxs],

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from repro.routing.order import routing_dim_order
+from repro.routing.order import dims_longest_to_shortest
 from repro.routing.paths import Path
 from repro.torus.coords import wrap_displacement
 from repro.torus.topology import TorusTopology
@@ -31,29 +31,40 @@ def route_coords(
 
     ``order`` overrides the default longest-to-shortest dimension order;
     it must contain every dimension that needs traversal (extra
-    dimensions with zero hops are permitted and skipped).
+    dimensions with zero hops are permitted and skipped).  The endpoints
+    and ``order`` are checked once; each hop then steps the node id by
+    its dimension's stride.
     """
     src_c = topology.coord(src)
     dst_c = topology.coord(dst)
+    shape = topology.shape
+    disp = [wrap_displacement(s, t, n) for s, t, n in zip(src_c, dst_c, shape)]
     if order is None:
-        order = routing_dim_order(src_c, dst_c, topology.shape)
+        order = dims_longest_to_shortest([h for h, _ in disp])
     else:
-        needed = {d for d, (s, t) in enumerate(zip(src_c, dst_c)) if s != t}
-        missing = needed - set(order)
+        if bad := [d for d in order if not 0 <= d < len(shape)]:
+            raise ConfigError(
+                f"dimension order {tuple(order)} names dimensions {bad} outside 0..{len(shape) - 1}"
+            )
+        missing = {d for d, (h, _) in enumerate(disp) if h} - set(order)
         if missing:
             raise ConfigError(
                 f"dimension order {tuple(order)} omits required dimensions {sorted(missing)}"
             )
 
     hops: list[tuple[int, int, int]] = []
-    cur = list(src_c)
+    node = src
     for dim in order:
-        n, sign = wrap_displacement(cur[dim], dst_c[dim], topology.shape[dim])
+        n, sign = disp[dim]
+        disp[dim] = (0, sign)  # a repeated dimension has nothing left to walk
+        size, stride = shape[dim], topology.strides[dim]
+        c = src_c[dim]
         for _ in range(n):
-            node = topology.node(tuple(cur))
             hops.append((node, dim, sign))
-            cur[dim] = (cur[dim] + sign) % topology.shape[dim]
-    assert tuple(cur) == dst_c, "routing did not terminate at the destination"
+            nxt = (c + sign) % size
+            node += (nxt - c) * stride
+            c = nxt
+    assert node == dst, "routing did not terminate at the destination"
     return hops
 
 
@@ -63,15 +74,15 @@ def route(
     dst: int,
     order: "Sequence[int] | None" = None,
 ) -> Path:
-    """Deterministic path from ``src`` to ``dst`` as a :class:`Path`."""
+    """Deterministic path from ``src`` to ``dst`` as a :class:`Path`.
+
+    A hop from ``node`` along ``(dim, sign)`` crosses link ``node * 2 *
+    ndims + 2 * dim + (sign > 0)`` (:func:`repro.torus.links.torus_link_id`).
+    """
     hops = route_coords(topology, src, dst, order)
-    links: list[int] = []
-    nodes: list[int] = [src]
-    for node, dim, sign in hops:
-        link_id, nxt = topology.link(node, dim, sign)
-        links.append(link_id)
-        nodes.append(nxt)
-    return Path(src=src, dst=dst, links=tuple(links), nodes=tuple(nodes))
+    per_node = 2 * topology.ndims
+    links = tuple(node * per_node + 2 * dim + (sign > 0) for node, dim, sign in hops)
+    return Path(src=src, dst=dst, links=links, nodes=(*(h[0] for h in hops), dst))
 
 
 class DimOrderRouter:
@@ -92,7 +103,6 @@ class DimOrderRouter:
         cached = self._cache.get(key)
         if cached is None:
             cached = route(self.topology, src, dst)
-            cached.links_arr  # warm the hop→link-id array while it's hot
             self._cache[key] = cached
         return cached
 

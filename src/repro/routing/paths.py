@@ -11,10 +11,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Iterable, Sequence
-
-import numpy as np
 
 
 @dataclass(frozen=True)
@@ -45,16 +42,6 @@ class Path:
     def nhops(self) -> int:
         """Number of link traversals."""
         return len(self.links)
-
-    @cached_property
-    def links_arr(self) -> np.ndarray:
-        """``links`` as an ``int64`` array, computed once per path.
-
-        Cached routes are looked up thousands of times per sweep; the
-        simulator layers consume this array form directly instead of
-        re-iterating the per-hop tuple.
-        """
-        return np.asarray(self.links, dtype=np.int64)
 
     def link_set(self) -> frozenset[int]:
         """The links as a set (order-insensitive)."""

@@ -11,6 +11,7 @@ correspond to contiguous sub-boxes of the torus, the property the paper's
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -97,6 +98,11 @@ class RankMapping:
         return order.reshape(self.topology.nnodes, self.ranks_per_node)
 
     # -- queries -------------------------------------------------------------------
+
+    @cached_property
+    def ranks(self) -> tuple[int, ...]:
+        """Every rank, ``0 .. nranks - 1`` (built once per mapping)."""
+        return tuple(range(self.nranks))
 
     def node_of_rank(self, rank: int) -> int:
         """Torus node hosting ``rank``."""

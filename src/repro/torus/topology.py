@@ -41,6 +41,9 @@ class TorusTopology:
                 raise ConfigError(f"invalid torus shape {self.shape}")
         self.ndims: int = len(self.shape)
         self.nnodes: int = int(np.prod(self.shape))
+        #: One step along dimension ``d`` moves the node index by
+        #: ``strides[d]`` (row-major, before wrapping).
+        self.strides = tuple(int(np.prod(self.shape[d + 1 :])) for d in range(self.ndims))
         self.nlinks: int = L.torus_link_count(self.nnodes, self.ndims)
 
     # -- identity / representation -------------------------------------------------
@@ -70,6 +73,14 @@ class TorusTopology:
             table[:, d] = idx % self.shape[d]
             idx = idx // self.shape[d]
         return table
+
+    @cached_property
+    def rank_mapping(self):
+        """The default one-rank-per-node :class:`~repro.torus.mapping.RankMapping`,
+        built once and shared (a mapping has no mutator)."""
+        from repro.torus.mapping import RankMapping  # it imports this module
+
+        return RankMapping(self)
 
     def coord(self, node: int) -> C.Coord:
         """Coordinate of a node index."""

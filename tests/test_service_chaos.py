@@ -30,6 +30,7 @@ from repro.resilience.service_chaos import (
     campaign_identity,
     run_service_campaign,
 )
+from repro.service.journal import Journal
 from repro.util.validation import ConfigError
 
 # Small + hot: high rate keeps the wall time down, high injection
@@ -171,13 +172,23 @@ class TestCanonicalPayloadMarking:
         assert capped.get("faulted") and capped.get("degraded")
 
 
+@pytest.fixture(scope="module")
+def small_campaigns(tmp_path_factory):
+    """Two fresh runs of the ``SMALL`` campaign, ``a`` and ``b``, each on
+    its own service: ``{name: (summary, results path)}``.  Shared by the
+    invariant and determinism tests, so tier-1 runs the campaign twice,
+    not three times."""
+    runs = {}
+    for name in ("a", "b"):
+        out = tmp_path_factory.mktemp(f"campaign-{name}") / "campaign.json"
+        runs[name] = (run_service_campaign(ServiceCampaignConfig(**SMALL), out_path=out), out)
+    return runs
+
+
 @pytest.mark.timeout(240)
 class TestCampaignInvariants:
-    def test_small_campaign_passes_all_invariants(self, tmp_path):
-        out = tmp_path / "campaign.json"
-        summary = run_service_campaign(
-            ServiceCampaignConfig(**SMALL), out_path=out
-        )
+    def test_small_campaign_passes_all_invariants(self, small_campaigns):
+        summary, out = small_campaigns["a"]
         assert summary["passed"], summary["failures"]
         assert summary["schema"] == SERVICE_CHAOS_FORMAT
         # 100% terminal: every live outcome ended in a terminal status
@@ -197,16 +208,13 @@ class TestCampaignInvariants:
         # The journal must replay to the same sha-bound campaign.
         assert doc["campaign_sha"] == summary["campaign_sha"]
 
-    def test_results_document_is_deterministic(self, tmp_path):
+    def test_results_document_is_deterministic(self, small_campaigns):
         """Two fresh runs of the same seeded campaign — independent
         services, schedulers, crashes and all — must produce
         byte-identical results documents."""
         outs = []
         for name in ("a", "b"):
-            out = tmp_path / f"{name}.json"
-            summary = run_service_campaign(
-                ServiceCampaignConfig(**SMALL), out_path=out
-            )
+            summary, out = small_campaigns[name]
             assert summary["passed"], summary["failures"]
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
@@ -283,14 +291,18 @@ class TestKillAndResume:
         assert killed.read_bytes() == baseline.read_bytes()
 
     def test_resume_rejects_foreign_journal(self, tmp_path):
-        out = tmp_path / "c.json"
-        self._run(out)
+        # The journal a SMALL run starts: its header binds the campaign's
+        # identity, which is all a resume checks before replaying.
+        config = ServiceCampaignConfig(**SMALL)
+        journal = tmp_path / "c.json.journal"
+        Journal.create(journal, campaign_identity(config, build_campaign_schedule(config))).close()
         # Same journal, different campaign seed: identity mismatch.
         proc = self._run(
             tmp_path / "d.json",
             "--seed", "999",
-            "--journal", str(out) + ".journal",
+            "--journal", str(journal),
             "--resume",
             check=False,
         )
         assert proc.returncode == 2
+        assert "belongs to a different campaign" in proc.stdout + proc.stderr
