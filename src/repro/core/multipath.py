@@ -17,7 +17,7 @@ from repro.core.model import TransferModel
 from repro.core.proxy_select import ProxyAssignment, ProxyPlan, find_proxies
 from repro.machine.system import BGQSystem
 from repro.mpi.comm import SimComm
-from repro.mpi.program import FlowProgram
+from repro.mpi.program import FlowProgram, run_programs
 from repro.network.flow import FlowId
 from repro.network.flowsim import FlowSimResult
 from repro.obs.metrics import TimeSeriesProbe, get_registry
@@ -48,12 +48,8 @@ class TransferOutcome:
         makespan: completion time of the slowest transfer [s].
         total_bytes: payload moved.
         mode_used: per-(src, dst) record: ``"direct"`` or ``"proxy:k"``.
-        result: the raw flow-level results (round 0 for resilient runs).
+        result: the raw flow-level results.
         plan: the proxy plan, when one was computed.
-        resilience: the full
-            :class:`~repro.resilience.executor.ResilientOutcome` when the
-            transfer ran through the fault-tolerant executor (retry
-            telemetry, ledgers, residue); ``None`` for plain exact runs.
     """
 
     makespan: float
@@ -61,7 +57,6 @@ class TransferOutcome:
     mode_used: dict[tuple[int, int], str]
     result: FlowSimResult
     plan: "ProxyPlan | None" = None
-    resilience: "object | None" = None
 
     @property
     def throughput(self) -> float:
@@ -295,6 +290,10 @@ def run_transfer(
 ) -> TransferOutcome:
     """Execute a set of transfers and measure throughput.
 
+    A batch of one: the set is planned, emitted and simulated exactly as
+    one scenario of :func:`run_transfer_many`, and runs alone on the
+    solo engine (see :func:`repro.mpi.program.run_programs`).
+
     Args:
         mode: ``"direct"`` (single deterministic path — the baseline),
             ``"proxy"`` (always use proxies when at least ``min_proxies``
@@ -312,53 +311,19 @@ def run_transfer(
         probe: a :class:`~repro.obs.metrics.TimeSeriesProbe` sampling
             per-link utilisation inside the simulator's event loop.
     """
-    if mode not in ("direct", "proxy", "auto"):
-        raise ConfigError(f"unknown mode {mode!r}")
     specs = list(specs)
-    if not specs:
-        raise ConfigError("specs must be non-empty")
-
     total = float(sum(s.nbytes for s in specs))
-    tracer = get_tracer()
-    with tracer.span(
+    with get_tracer().span(
         "transfer", cat="transfer", mode=mode, n_specs=len(specs), total_bytes=total
     ) as span:
-        comm = SimComm(system)
-        prog = FlowProgram(comm, capacity_fn=capacity_fn, probe=probe)
-        model = TransferModel(system.params)
-        plan: "ProxyPlan | None" = None
-
-        if mode in ("proxy", "auto") and assignments is None:
-            with tracer.span("proxy-select", cat="plan", n_pairs=len(specs)):
-                plan = find_proxies(
-                    system,
-                    [(s.src, s.dst) for s in specs],
-                    max_proxies=max_proxies,
-                    min_proxies=min_proxies,
-                    max_offset=max_offset,
-                )
-            assignments = plan.assignments
-
-        mode_used = emit_transfer_set(prog, specs, assignments, mode, min_proxies, model)
-        result = prog.run(events)
-        span.set(makespan=result.makespan, n_flows=len(prog.columns))
-
-    reg = get_registry()
-    reg.counter("transfer.runs").inc()
-    reg.counter("transfer.bytes_requested").inc(total)
-    reg.counter("transfer.carriers.proxy").inc(
-        sum(1 for m in mode_used.values() if m.startswith("proxy"))
-    )
-    reg.counter("transfer.carriers.direct").inc(
-        sum(1 for m in mode_used.values() if m == "direct")
-    )
-    return TransferOutcome(
-        makespan=result.makespan,
-        total_bytes=total,
-        mode_used=mode_used,
-        result=result,
-        plan=plan,
-    )
+        (out,) = _run_transfer_sets(
+            system, [specs], mode=mode, assignments=[assignments],
+            max_proxies=max_proxies, min_proxies=min_proxies,
+            max_offset=max_offset, capacity_fn=capacity_fn, events=[events],
+            probe=probe, on_error="raise",
+        )
+        span.set(makespan=out.makespan, n_flows=len(out.result))
+    return out
 
 
 def run_transfer_many(
@@ -374,202 +339,108 @@ def run_transfer_many(
     max_offset: int = 3,
     capacity_fn=None,
     events: "Sequence[Sequence | None] | None" = None,
-    faults=None,
-    traces=None,
-    sdc=None,
-    policy=None,
     on_error: str = "raise",
 ) -> list[TransferOutcome]:
-    """Execute many *independent* transfer scenarios in one batched pass.
+    """Execute many *independent* transfer scenarios in one pass.
 
     Each element of ``spec_sets`` is one scenario — the specs
-    :func:`run_transfer` would receive.  Flows are emitted per scenario
-    exactly as :func:`run_transfer` emits them, then every scenario is
-    simulated together through
-    :class:`~repro.network.batchsim.BatchFlowSim`, amortizing the numpy
-    dispatch overhead that dominates small runs.  Results match
-    per-scenario exact-mode full re-solves byte-for-byte (see
-    :mod:`repro.network.batchsim`), so outcomes are interchangeable with
-    serial :func:`run_transfer` calls for scenarios below the
-    incremental-engine threshold.
+    :func:`run_transfer` would receive, planned and emitted as it would
+    plan and emit them.  :func:`repro.mpi.program.run_programs` then
+    simulates the scenarios' programs: small ones together, through one
+    block-diagonal :class:`~repro.network.batchsim.BatchFlowSim` pass
+    that amortizes the numpy dispatch overhead dominating small runs,
+    and a lone or large one on the solo engine.  Either way a scenario's
+    outcome equals its :func:`run_transfer` outcome byte for byte.
 
     The proxy search is memoised across scenarios with the same pair
-    list — a campaign repeating one geometry plans it once.
-
-    Faulted scenarios stay batched: per-scenario ``events`` (mid-run
-    :class:`~repro.network.flowsim.CapacityEvent` interrupts) are applied
-    to that scenario's own block inside the batched waterfill, and
-    ``faults``/``traces``/``policy`` route the whole batch through
-    :func:`repro.resilience.executor.run_resilient_transfer_many`, which
-    batches the retry rounds of all scenarios wave-by-wave — a faulted
-    scenario retries only its outstanding ledger extents without forcing
-    the rest serial.  That route plans with the fault-aware planner, so
-    of the planning options it takes only ``max_proxies``; a non-default
-    ``mode``, ``min_proxies`` or ``max_offset`` (or any ``assignments``
-    or ``capacity_fn``) raises :class:`~repro.util.validation.ConfigError`.
+    list — a campaign repeating one geometry plans it once.  Fault-traced
+    or corruption-checked transfers go through
+    :func:`repro.resilience.executor.run_resilient_transfer_many`.
 
     Args:
         assignments: optional per-scenario pre-built proxy assignments
             (aligned with ``spec_sets``; ``None`` entries plan normally).
         events: optional per-scenario capacity-event sequences (aligned
-            with ``spec_sets``; ``None`` entries run undisturbed).
-            Mutually exclusive with ``traces``.
-        faults / traces / sdc: per-scenario
-            :class:`~repro.machine.faults.FaultModel` /
-            :class:`~repro.machine.faults.FaultTrace` /
-            :class:`~repro.machine.faults.SDCModel` sequences (or one
-            instance shared by all); when any is set the batch runs
-            through the resilience executor with ledger-based
-            partial-progress retries and each outcome carries its
-            :class:`~repro.resilience.executor.ResilientOutcome` in
-            ``.resilience``.
-        policy: :class:`~repro.resilience.executor.RetryPolicy` for the
-            resilient path (implies it even without faults).
+            with ``spec_sets``; ``None`` entries run undisturbed), each
+            applied to its own scenario only.
         on_error: ``"raise"`` propagates the first scenario failure;
             ``"capture"`` stores the exception in that scenario's result
             slot and lets the rest finish.
     """
-    from repro.network.batchsim import BatchFlowSim
-
-    if mode not in ("direct", "proxy", "auto"):
-        raise ConfigError(f"unknown mode {mode!r}")
-    if on_error not in ("raise", "capture"):
-        raise ConfigError(f"on_error must be 'raise' or 'capture', got {on_error!r}")
     spec_sets = [list(s) for s in spec_sets]
     if not spec_sets:
         return []
+    with get_tracer().span(
+        "transfer-batch", cat="transfer", mode=mode, n_scenarios=len(spec_sets)
+    ) as span:
+        outcomes = _run_transfer_sets(
+            system, spec_sets, mode=mode, assignments=assignments,
+            max_proxies=max_proxies, min_proxies=min_proxies,
+            max_offset=max_offset, capacity_fn=capacity_fn, events=events,
+            probe=None, on_error=on_error,
+        )
+        ok = [o for o in outcomes if not isinstance(o, Exception)]
+        span.set(makespan=max((o.makespan for o in ok), default=0.0))
+    get_registry().counter("transfer.batch_runs").inc()
+    return outcomes
+
+
+def _run_transfer_sets(
+    system, spec_sets, *, mode, assignments, max_proxies, min_proxies,
+    max_offset, capacity_fn, events, probe, on_error,
+) -> "list[TransferOutcome | Exception]":
+    """Plan, emit and simulate every spec set: the body of
+    :func:`run_transfer` and :func:`run_transfer_many`."""
+    if mode not in ("direct", "proxy", "auto"):
+        raise ConfigError(f"unknown mode {mode!r}")
     for i, specs in enumerate(spec_sets):
         if not specs:
             raise ConfigError(f"scenario #{i}: specs must be non-empty")
-    if assignments is not None and len(assignments) != len(spec_sets):
-        raise ConfigError(
-            f"assignments must align with spec_sets "
-            f"({len(assignments)} != {len(spec_sets)})"
-        )
-
-    if (
-        faults is not None
-        or traces is not None
-        or sdc is not None
-        or policy is not None
-    ):
-        if events is not None:
-            raise ConfigError("events and traces are mutually exclusive")
-        unsupported = [
-            name
-            for name, is_set in (
-                ("assignments", assignments is not None),
-                ("capacity_fn", capacity_fn is not None),
-                ("mode", mode != "auto"),
-                ("min_proxies", min_proxies != TransferModel.MIN_BENEFICIAL_PROXIES),
-                ("max_offset", max_offset != 3),
-            )
-            if is_set
-        ]
-        if unsupported:
+    for name, per_set in (("assignments", assignments), ("events", events)):
+        if per_set is not None and len(per_set) != len(spec_sets):
             raise ConfigError(
-                "faults/traces/policy route through the resilience "
-                "executor, which plans its own paths — "
-                f"{', '.join(unsupported)} not supported there"
+                f"{name} must align with spec_sets "
+                f"({len(per_set)} != {len(spec_sets)})"
             )
-        from repro.resilience.executor import run_resilient_transfer_many
-
-        outcomes = run_resilient_transfer_many(
-            system,
-            spec_sets,
-            faults=faults,
-            traces=traces,
-            sdc=sdc,
-            policy=policy,
-            max_proxies=max_proxies,
-            on_error=on_error,
-        )
-        wrapped: "list[TransferOutcome]" = []
-        for o in outcomes:
-            if isinstance(o, Exception):
-                wrapped.append(o)
-                continue
-            wrapped.append(
-                TransferOutcome(
-                    makespan=o.makespan,
-                    total_bytes=o.total_bytes,
-                    mode_used=o.mode_used,
-                    result=o.result,
-                    plan=None,
-                    resilience=o,
-                )
-            )
-        return wrapped
-
-    if events is not None and len(events) != len(spec_sets):
-        raise ConfigError(
-            f"events must align with spec_sets "
-            f"({len(events)} != {len(spec_sets)})"
-        )
 
     tracer = get_tracer()
     comm = SimComm(system)
     model = TransferModel(system.params)
-    cap = capacity_fn if capacity_fn is not None else system.capacity
     plan_cache: "dict[tuple, ProxyPlan]" = {}
-    built: "list[tuple[FlowProgram, dict, ProxyPlan | None, float]]" = []
-    with tracer.span(
-        "transfer-batch", cat="transfer", mode=mode, n_scenarios=len(spec_sets)
-    ) as span:
-        for i, specs in enumerate(spec_sets):
-            plan: "ProxyPlan | None" = None
-            asg_map = assignments[i] if assignments is not None else None
-            if asg_map is None and mode in ("proxy", "auto"):
-                pairs = tuple((s.src, s.dst) for s in specs)
-                plan = plan_cache.get(pairs)
-                if plan is None:
-                    with tracer.span("proxy-select", cat="plan", n_pairs=len(pairs)):
-                        plan = find_proxies(
-                            system,
-                            list(pairs),
-                            max_proxies=max_proxies,
-                            min_proxies=min_proxies,
-                            max_offset=max_offset,
-                        )
-                    plan_cache[pairs] = plan
-                asg_map = plan.assignments
-            prog = FlowProgram(comm, capacity_fn=capacity_fn)
-            mode_used = emit_transfer_set(prog, specs, asg_map, mode, min_proxies, model)
-            built.append(
-                (prog, mode_used, plan, float(sum(s.nbytes for s in specs)))
-            )
-        results = BatchFlowSim(system.params).simulate_many(
-            [(cap, prog.columns) for prog, _, _, _ in built],
-            events=events,
-            on_error=on_error,
-        )
-        ok = [r for r in results if not isinstance(r, Exception)]
-        span.set(makespan=max((r.makespan for r in ok), default=0.0))
+    progs: "list[FlowProgram]" = []
+    built: "list[tuple[dict, ProxyPlan | None, float]]" = []
+    for i, specs in enumerate(spec_sets):
+        plan: "ProxyPlan | None" = None
+        asg_map = assignments[i] if assignments is not None else None
+        if asg_map is None and mode in ("proxy", "auto"):
+            pairs = tuple((s.src, s.dst) for s in specs)
+            plan = plan_cache.get(pairs)
+            if plan is None:
+                with tracer.span("proxy-select", cat="plan", n_pairs=len(pairs)):
+                    plan = find_proxies(
+                        system, list(pairs), max_proxies=max_proxies,
+                        min_proxies=min_proxies, max_offset=max_offset,
+                    )
+                plan_cache[pairs] = plan
+            asg_map = plan.assignments
+        prog = FlowProgram(comm, capacity_fn=capacity_fn, probe=probe)
+        mode_used = emit_transfer_set(prog, specs, asg_map, mode, min_proxies, model)
+        progs.append(prog)
+        built.append((mode_used, plan, float(sum(s.nbytes for s in specs))))
+    results = run_programs(progs, events=events, on_error=on_error)
 
     reg = get_registry()
-    reg.counter("transfer.batch_runs").inc()
     reg.counter("transfer.runs").inc(len(built))
-    reg.counter("transfer.bytes_requested").inc(sum(t for _, _, _, t in built))
+    reg.counter("transfer.bytes_requested").inc(sum(t for _, _, t in built))
+    modes = [m for mu, _, _ in built for m in mu.values()]
     reg.counter("transfer.carriers.proxy").inc(
-        sum(
-            1
-            for _, mu, _, _ in built
-            for m in mu.values()
-            if m.startswith("proxy")
-        )
+        sum(1 for m in modes if m.startswith("proxy"))
     )
     reg.counter("transfer.carriers.direct").inc(
-        sum(1 for _, mu, _, _ in built for m in mu.values() if m == "direct")
+        sum(1 for m in modes if m == "direct")
     )
     return [
-        res
-        if isinstance(res, Exception)
-        else TransferOutcome(
-            makespan=res.makespan,
-            total_bytes=total,
-            mode_used=mu,
-            result=res,
-            plan=plan,
-        )
-        for (_, mu, plan, total), res in zip(built, results)
+        res if isinstance(res, Exception)
+        else TransferOutcome(res.makespan, total, mu, res, plan)
+        for (mu, plan, total), res in zip(built, results)
     ]

@@ -8,7 +8,8 @@ graphs through this layer and running them in the fluid simulator.
 * :class:`repro.mpi.comm.SimComm` — communicators (world + subcomms) with
   rank→node placement through a :class:`repro.torus.mapping.RankMapping`.
 * :class:`repro.mpi.program.FlowProgram` — a builder for flow DAGs with
-  MPI-like nonblocking put/send, waits and barriers.
+  MPI-like nonblocking put/send, waits and barriers;
+  :func:`repro.mpi.program.run_programs` picks the engine for a set of them.
 * :mod:`repro.mpi.mpiio` — ROMIO-style two-phase collective I/O with
   rank-strided aggregators: **the paper's baseline** ("default MPI
   collective I/O"), which charges its collectives as closed-form delays.

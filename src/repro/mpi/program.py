@@ -3,7 +3,9 @@
 :class:`FlowProgram` accumulates a flow DAG as columns
 (:class:`~repro.network.flow.FlowColumns`) with automatically unique ids
 and explicit dependencies, then runs it in a
-:class:`~repro.network.flowsim.FlowSim`.  Operations mirror the
+:class:`~repro.network.flowsim.FlowSim`; :func:`run_programs` runs many
+independent programs and is the one place that picks their engine.
+Operations mirror the
 nonblocking MPI style the paper's mechanisms use (``MPI_Put`` between
 phases, completion detection at proxies):
 
@@ -21,10 +23,17 @@ from __future__ import annotations
 from typing import Iterable, Mapping, Sequence
 
 from repro.mpi.comm import SimComm
+from repro.network.batchsim import BatchFlowSim
 from repro.network.flow import Flow, FlowColumns, FlowId, check_flow
-from repro.network.flowsim import CapacityEvent, CapacityFn, FlowSim, FlowSimResult
+from repro.network.flowsim import (
+    _INC_AUTO_MIN,
+    CapacityEvent,
+    CapacityFn,
+    FlowSim,
+    FlowSimResult,
+)
 from repro.obs.metrics import TimeSeriesProbe
-from repro.util.validation import ConfigError
+from repro.util.validation import ConfigError, SimulationError
 
 
 class FlowProgram:
@@ -68,7 +77,7 @@ class FlowProgram:
         self.t_base = t_base
         #: Optional silent-corruption model: forwarded to the simulator
         #: so results carry wire-corruption annotations (metadata only —
-        #: the batched driver reads it off the program the same way it
+        #: :func:`run_programs` reads it off the program the same way it
         #: reads ``capacity_fn``).
         self.sdc = sdc
         #: The program's flows, one column per :class:`Flow` field, in
@@ -292,3 +301,66 @@ class FlowProgram:
             cutoffs=cutoffs,
             sdc=self.sdc,
         )
+
+
+def run_programs(
+    programs: "Sequence[FlowProgram]",
+    events: "Sequence[Sequence[CapacityEvent] | None] | None" = None,
+    cutoffs: "Sequence[Mapping[FlowId, float] | None] | None" = None,
+    on_error: str = "raise",
+) -> "list[FlowSimResult | Exception]":
+    """Simulate independent programs; one result each, in order.
+
+    The one engine rule behind every transfer API: exact programs
+    without a probe and below the solo engine's incremental threshold
+    (``_INC_AUTO_MIN`` flows) that arrive together run as one
+    :meth:`~repro.network.batchsim.BatchFlowSim.simulate_many` batch per
+    machine; every other program, alone or at or above the threshold,
+    runs through :meth:`FlowProgram.run` with its probe and incremental
+    re-solve.  Below the threshold both engines return the same bytes,
+    so a result never depends on which call or batch carried it.
+
+    ``events`` and ``cutoffs`` are per-program, with
+    :meth:`FlowProgram.run`'s semantics.  ``on_error="capture"`` stores
+    a program's :class:`~repro.util.validation.SimulationError` (a link
+    taken hard down, say) in its slot and lets the rest finish.
+    """
+    if on_error not in ("raise", "capture"):
+        raise ConfigError(f"on_error must be 'raise' or 'capture', got {on_error!r}")
+    n = len(programs)
+    for name, per_program in (("events", events), ("cutoffs", cutoffs)):
+        if per_program is not None and len(per_program) != n:
+            raise ConfigError(
+                f"{name} must align with programs ({len(per_program)} != {n})"
+            )
+    events = [None] * n if events is None else events
+    cutoffs = [None] * n if cutoffs is None else cutoffs
+    small: "dict[object, list[int]]" = {}
+    for i, p in enumerate(programs):
+        exact = not (p.batch_tol or p.fair_tol or p.lazy_frac)
+        if exact and p.probe is None and len(p.columns) < _INC_AUTO_MIN:
+            small.setdefault(p.params, []).append(i)
+    results: "list[FlowSimResult | Exception | None]" = [None] * n
+    for params, idxs in small.items():
+        if len(idxs) < 2:
+            continue
+        batch = [programs[i] for i in idxs]
+        out = BatchFlowSim(params).simulate_many(
+            [(p.capacity_fn or p.system.capacity, p.columns) for p in batch],
+            events=[events[i] for i in idxs],
+            cutoffs=[cutoffs[i] for i in idxs],
+            sdc=[p.sdc for p in batch],
+            on_error=on_error,
+        )
+        for i, res in zip(idxs, out):
+            results[i] = res
+    for i, p in enumerate(programs):
+        if results[i] is not None:
+            continue
+        try:
+            results[i] = p.run(events[i], cutoffs=cutoffs[i])
+        except SimulationError as exc:
+            if on_error == "raise":
+                raise
+            results[i] = exc
+    return results  # type: ignore[return-value]  # every slot filled

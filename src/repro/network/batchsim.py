@@ -38,9 +38,9 @@ per-scenario :class:`~repro.util.validation.LinkDownError`), per-flow
 **cutoff snapshots** and cooperative **cancellation** are first-class:
 a faulted scenario re-solves only its own block and its failure — with
 ``on_error="capture"`` — kills only that scenario, never its batch
-neighbours.  That is what lets the resilience executor keep faulted
-retry rounds on the batched path instead of dropping whole campaigns
-serial (see :func:`repro.resilience.executor.run_resilient_transfer_many`).
+neighbours, so faulted retry rounds batch too.  Callers do not pick this
+engine: :func:`repro.mpi.program.run_programs` sends it the small exact
+programs that arrive together.
 """
 
 from __future__ import annotations
@@ -363,7 +363,7 @@ class BatchFlowSim:
         ``sdc`` is the same-shaped per-scenario sequence of
         silent-corruption models: each non-``None`` entry annotates its
         scenario's result exactly as :meth:`FlowSim.run`'s ``sdc``
-        argument would — pure metadata, so batched and serial faulted
+        argument would — pure metadata, so batched and solo faulted
         runs stay byte-identical.
 
         ``cancel_check``/``cancel_every`` poll the cooperative

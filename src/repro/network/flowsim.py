@@ -417,16 +417,30 @@ def _capacity_fn(capacities: "Mapping[int, float] | CapacityFn") -> CapacityFn:
 
 def _link_caps(cap_of: CapacityFn, pop: _Population, fids: Sequence[FlowId]) -> np.ndarray:
     """Capacity of each of ``pop``'s real dense links, fetched once per
-    link; a route across a link without a positive capacity (down, or
-    not a number) is a :class:`ConfigError` naming the first such flow."""
-    caps = np.array([float(cap_of(g)) for g in pop.uniq.tolist()], dtype=np.float64)
+    link; a route across a link whose capacity cannot be looked up, or
+    is not a positive number (down, or misconfigured), is a
+    :class:`ConfigError` naming the first flow routed across it."""
+
+    def first_on(ks) -> "tuple[FlowId, int]":
+        """The first flow routed across any dense link in ``ks``, and that link."""
+        e = int(np.flatnonzero(np.isin(pop.real_flat, ks))[0])
+        i = int(np.searchsorted(pop.real_ptr, e, side="right")) - 1
+        return fids[i], int(pop.real_flat[e])
+
+    links = pop.uniq.tolist()
+    try:  # ``g`` is left naming the link whose lookup failed
+        caps = np.array([float(cap_of(g := link)) for link in links], dtype=np.float64)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(
+            f"flow {first_on([links.index(g)])[0]!r}: route crosses link {g}, "
+            f"whose capacity lookup failed ({type(exc).__name__}: {exc}); "
+            f"give every routed link a numeric capacity"
+        ) from exc
     bad = np.flatnonzero(~(caps > 0))
     if len(bad):
-        e = int(np.flatnonzero(np.isin(pop.real_flat, bad))[0])
-        i = int(np.searchsorted(pop.real_ptr, e, side="right")) - 1
-        k = pop.real_flat[e]
+        fid, k = first_on(bad)
         raise ConfigError(
-            f"flow {fids[i]!r}: route crosses link {int(pop.uniq[k])} with "
+            f"flow {fid!r}: route crosses link {links[k]} with "
             f"capacity {caps[k]}, not > 0 (link is down or misconfigured); "
             f"exclude the path or heal the link before submitting"
         )
@@ -696,19 +710,6 @@ def waterfill_csr(
     n_frozen = 0
     level = 0.0
 
-    # Saturation levels only ever rise (freezing a flow weakly raises
-    # every touched link's level), so the bottleneck search can run
-    # over a small *candidate pool* of the currently-lowest levels,
-    # rebuilt via one ``np.partition`` only when the pool's minimum
-    # climbs past its admission threshold.  Every saturated link goes
-    # dead, so a pool of ``_POOL`` links sustains about that many
-    # iterations between O(links) rebuilds.
-    _POOL = 64
-    use_pool = len(s) > 4 * _POOL
-    if use_pool:
-        t_thr = float(np.partition(s, _POOL)[_POOL])
-        C = (s <= t_thr).nonzero()[0]
-
     ftol = fair_tol
     sub_at = np.subtract.at
     concat = np.concatenate
@@ -720,16 +721,7 @@ def waterfill_csr(
         for _ in range(nf + 1):
             if n_frozen == nf:
                 break
-            if use_pool:
-                sC = s[C]
-                smin = float(sC.min())
-                if smin > t_thr:
-                    t_thr = float(np.partition(s, _POOL)[_POOL])
-                    C = (s <= t_thr).nonzero()[0]
-                    sC = s[C]
-                    smin = float(sC.min())
-            else:
-                smin = float(s.min())
+            smin = float(s.min())
             if smin == np.inf:  # pragma: no cover - virtual links prevent this
                 raise SimulationError("waterfill: no live links but unfrozen flows remain")
             prev = level
@@ -742,17 +734,7 @@ def waterfill_csr(
             # filling iterations on large active sets.
             if ftol > 0:
                 bound = prev + (level - prev) * (1 + ftol)
-                if use_pool and bound > t_thr:
-                    # Widen the pool to cover the whole grouping window.
-                    t_thr = bound
-                    C = (s <= t_thr).nonzero()[0]
-                    sC = s[C]
-                if use_pool:
-                    sat_links = C[(sC <= bound).nonzero()[0]]
-                else:
-                    sat_links = (s <= bound).nonzero()[0]
-            elif use_pool:
-                sat_links = C[sC == smin]
+                sat_links = (s <= bound).nonzero()[0]
             else:
                 sat_links = (s == smin).nonzero()[0]
             sat_orig = live_idx[sat_links]  # transpose slices use dense ids

@@ -543,8 +543,7 @@ def run_campaign(config: "CampaignConfig | None" = None) -> dict:
 
     # One batched fault-free pass over the whole geometry grid: the
     # *ideal* transfer throughput per geometry (raw multipath flows, no
-    # executor rounds/chunking), simulated together through
-    # :class:`~repro.network.batchsim.BatchFlowSim`.  Reported next to
+    # executor rounds/chunking), simulated in one call.  Reported next to
     # the executor baselines so a cell's goodput can be read against
     # both the executor's fault-free floor and the physics ceiling.
     ideal_outs = run_transfer_many(

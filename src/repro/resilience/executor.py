@@ -67,7 +67,7 @@ from repro.core.proxy_select import ProxyAssignment, forced_assignment
 from repro.machine.faults import FaultModel, FaultTrace, SDCModel
 from repro.machine.system import BGQSystem
 from repro.mpi.comm import SimComm
-from repro.mpi.program import FlowProgram
+from repro.mpi.program import FlowProgram, run_programs
 from repro.network.flowsim import CapacityEvent, FlowSimResult
 from repro.obs.metrics import TimeSeriesProbe, get_registry
 from repro.obs.trace import get_tracer
@@ -351,16 +351,13 @@ def _resilient_execution(
     **no simulation itself**: at each point where a round must run it
     yields ``(prog, capacity_events, cutoffs)`` and receives the
     :class:`~repro.network.flowsim.FlowSimResult` back via ``send()``.
-    :func:`run_resilient_transfer` drives it with serial
-    ``prog.run(...)`` calls (identical behaviour to the pre-generator
-    executor); :func:`run_resilient_transfer_many` drives many of these
-    generators in lockstep *waves*, one batched
-    :class:`~repro.network.batchsim.BatchFlowSim` pass per wave, so a
-    faulted scenario in a batch retries only its own outstanding
-    extents without forcing its batch neighbours serial.  A driver
-    ``throw()``s simulation errors in, which propagate exactly as they
-    would from an inline ``prog.run``.  Returns (via ``StopIteration``)
-    the :class:`ResilientOutcome`.
+    :func:`_run_waves` steps one or many of these generators in
+    lockstep *waves*, one :func:`~repro.mpi.program.run_programs` call
+    per wave, so a faulted scenario in a batch retries only its own
+    outstanding extents without forcing its batch neighbours serial.
+    The driver ``throw()``s simulation errors in, which propagate
+    exactly as they would from an inline ``prog.run``.  Returns (via
+    ``StopIteration``) the :class:`ResilientOutcome`.
 
     ``sdc`` switches on the silent-corruption defense: every extent
     arriving at its destination is end-to-end checksum-verified before
@@ -373,8 +370,8 @@ def _resilient_execution(
     model (all rates zero) keeps the verification active but inert —
     the configuration the verification-overhead benchmark measures.
     Corruption decisions are pure functions of
-    ``(seed, transfer, extent, round, carrier)``, so serial and batched
-    drivers agree byte-for-byte.
+    ``(seed, transfer, extent, round, carrier)``, so a scenario decides
+    the same alone or in a batch.
 
     ``max_proxies`` bounds the proxy search of the planner built here;
     it is ignored when a ``planner`` is passed in.
@@ -1163,10 +1160,9 @@ def run_resilient_transfer(
 ) -> ResilientOutcome:
     """Execute transfers with fault detection, failover and retry.
 
-    The serial driver of :func:`_resilient_execution`: each yielded
-    round runs through its own ``prog.run`` call.  It is the reference
-    the batched :func:`run_resilient_transfer_many` is measured and
-    tested against, and the driver that takes a time-series ``probe``.
+    A campaign of one: the execution is stepped by the same wave driver
+    as :func:`run_resilient_transfer_many`, so each round runs alone on
+    the solo engine (see :func:`repro.mpi.program.run_programs`).
 
     Args:
         faults: *known* static faults — the planner routes around them.
@@ -1188,16 +1184,7 @@ def run_resilient_transfer(
         system, specs, faults=faults, trace=trace, policy=policy,
         planner=planner, monitor=monitor, sdc=sdc, probe=probe,
     )
-    result: "FlowSimResult | None" = None
-    try:
-        while True:
-            # Round boundary = natural cancellation yield point (tiny
-            # round programs never reach the simulator's own poll).
-            check_cancelled()
-            prog, events, cutoffs = gen.send(result)
-            result = prog.run(events, cutoffs=cutoffs)
-    except StopIteration as stop:
-        return stop.value
+    return _run_waves([gen], on_error="raise")[0]
 
 
 def run_resilient_transfer_many(
@@ -1219,18 +1206,15 @@ def run_resilient_transfer_many(
     ledgers, health monitor, planner, jitter stream and retry state —
     but the per-round flow simulations of all scenarios run together:
     every *wave* gathers each live scenario's next pending round and
-    solves them in one block-diagonal
-    :meth:`~repro.network.batchsim.BatchFlowSim.simulate_many` pass,
-    with that scenario's capacity events and cutoff snapshots applied
-    to its own block only.  Scenarios whose state diverges (one retries
-    while another is done) simply drop out of later waves; nothing
-    forces the survivors serial.  Per-scenario outcomes are
-    byte-identical to serial :func:`run_resilient_transfer` calls for
-    round programs below the incremental auto-gate (the executor's
-    rounds are well under it; asserted by
-    ``tests/test_resilience_batched.py``).  Every wave is one
-    ``simulate_many`` call: rounds always share bandwidth exactly
-    max-min fair, and there is no serial route.
+    hands them to :func:`repro.mpi.program.run_programs`, which solves
+    the small ones in one block-diagonal
+    :meth:`~repro.network.batchsim.BatchFlowSim.simulate_many` pass, with
+    that scenario's capacity events and cutoff snapshots applied to its
+    own block only.  Scenarios whose state diverges (one retries while
+    another is done) simply drop out of later waves; nothing forces the
+    survivors serial.  Per-scenario outcomes are byte-identical to
+    :func:`run_resilient_transfer` calls (asserted by
+    ``tests/test_resilience_batched.py``).
 
     Args:
         faults / traces: per-scenario sequences aligned with
@@ -1238,8 +1222,8 @@ def run_resilient_transfer_many(
         monitors: optional per-scenario pre-built health monitors.
         sdc: optional per-scenario silent-corruption models (a single
             model is shared by all).  Corruption decisions are pure
-            functions of the model's seed and extent identity, so the
-            batched waves make byte-identical decisions to serial runs.
+            functions of the model's seed and extent identity, so a
+            scenario makes the same decisions in any wave.
         max_proxies: upper bound on each scenario's proxy count, handed
             to its fault-aware :class:`ResilientPlanner` (``None``
             leaves the search unbounded).
@@ -1248,8 +1232,6 @@ def run_resilient_transfer_many(
             ``"capture"`` stores the exception in that scenario's
             outcome slot and lets the rest finish.
     """
-    from repro.network.batchsim import BatchFlowSim
-
     if on_error not in ("raise", "capture"):
         raise ConfigError(
             f"on_error must be 'raise' or 'capture', got {on_error!r}"
@@ -1276,7 +1258,6 @@ def run_resilient_transfer_many(
     monitors_l = _aligned(monitors, "monitors")
     sdc_l = _aligned(sdc, "sdc")
 
-    reg = get_registry()
     gens = [
         _resilient_execution(
             system, spec_sets[i], faults=faults_l[i], trace=traces_l[i],
@@ -1285,12 +1266,26 @@ def run_resilient_transfer_many(
         )
         for i in range(n)
     ]
-    outcomes: "list[ResilientOutcome | Exception | None]" = [None] * n
-    # i -> (gen, prog, events, cutoffs): each live scenario's next round.
+    return _run_waves(gens, on_error=on_error)
+
+
+def _run_waves(gens: list, *, on_error: str) -> list:
+    """The executor's one driver: steps :func:`_resilient_execution`
+    generators in lockstep waves, each wave simulating every live
+    execution's pending round through one
+    :func:`~repro.mpi.program.run_programs` call and feeding each result
+    (or its captured simulation error, thrown in) back to its generator.
+    Returns the outcomes in order (failures as exceptions under
+    ``on_error="capture"``).
+    """
+    reg = get_registry()
+    outcomes: "list[ResilientOutcome | Exception | None]" = [None] * len(gens)
+    # i -> (prog, events, cutoffs): each live execution's next round.
     pending: "dict[int, tuple]" = {}
 
-    def advance(i: int, gen, payload, *, throw: bool):
-        """Feed one simulation result (or error) back into scenario i."""
+    def advance(i: int, payload, *, throw: bool):
+        """Feed one simulation result (or error) back into execution i."""
+        gen = gens[i]
         try:
             nxt = gen.throw(payload) if throw else gen.send(payload)
         except StopIteration as stop:
@@ -1303,33 +1298,27 @@ def run_resilient_transfer_many(
             outcomes[i] = exc
             pending.pop(i, None)
         else:
-            pending[i] = (gen, *nxt)
+            pending[i] = nxt
 
-    for i, gen in enumerate(gens):
-        advance(i, gen, None, throw=False)
+    for i in range(len(gens)):
+        advance(i, None, throw=False)
 
     n_waves = 0
     while pending:
         n_waves += 1
-        # Wave boundaries are the campaign's natural yield points: the
-        # simulators only poll every ``cancel_every`` lockstep rounds,
-        # so small round programs would otherwise outlive a cancelled
-        # ambient scope.
+        # Wave boundaries are the natural cancellation yield points: the
+        # simulators only poll every ``cancel_every`` rounds, so small
+        # round programs would otherwise outlive a cancelled scope.
         check_cancelled()
         idxs = sorted(pending)
-        batch = BatchFlowSim(system.params).simulate_many(
-            [
-                (pending[i][1].capacity_fn or system.capacity, pending[i][1].columns)
-                for i in idxs
-            ],
-            events=[pending[i][2] for i in idxs],
-            cutoffs=[pending[i][3] for i in idxs],
-            sdc=[pending[i][1].sdc for i in idxs],
+        results = run_programs(
+            [pending[i][0] for i in idxs],
+            events=[pending[i][1] for i in idxs],
+            cutoffs=[pending[i][2] for i in idxs],
             on_error="capture",
         )
-        for i, res in zip(idxs, batch):
-            advance(i, pending[i][0], res, throw=isinstance(res, Exception))
-
-    reg.counter("resilience.batch.transfers").inc(n)
+        for i, res in zip(idxs, results):
+            advance(i, res, throw=isinstance(res, Exception))
+    reg.counter("resilience.batch.transfers").inc(len(gens))
     reg.counter("resilience.batch.waves").inc(n_waves)
-    return outcomes  # type: ignore[return-value]  # every slot filled
+    return outcomes

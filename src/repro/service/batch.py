@@ -232,9 +232,8 @@ def run_batch(
 
     Deadline-free transfer scenarios are simulated together through
     :func:`repro.service.scenarios.run_transfer_kinds_batched`, in
-    campaign order and in waves of ``_WAVE`` — one block-diagonal
-    :class:`~repro.network.batchsim.BatchFlowSim` pass per machine size
-    per wave — instead of one service request each.  Each wave's
+    campaign order and in waves of ``_WAVE`` — one batched call per
+    machine size per wave — instead of one service request each.  Each wave's
     records are journaled (one fsync'd append per record) before the
     next wave is computed, so the first records are durable after one
     wave rather than after the whole campaign, and planning inputs,

@@ -130,15 +130,16 @@ def _sdc_model(params: Mapping[str, Any], system):
 
 
 def _transfer_payload(
-    kind: str, system, out, *, degraded: bool, sdc: bool
+    kind: str, system, out, *, degraded: bool, resilient: bool, sdc: bool
 ) -> dict:
     """Payload of one transfer scenario.
 
-    A run through the resilience executor (a fault-traced or
-    corruption-injected request) adds the ``faulted`` retry fields, and
-    ``sdc`` the integrity-verification fields — only for requests that
-    opted into corruption injection, so fault-traced payloads carry
-    none of them.
+    A run through the resilience executor (``resilient``: a fault-traced
+    or corruption-injected request, whose ``out`` is a
+    :class:`~repro.resilience.executor.ResilientOutcome`) adds the
+    ``faulted`` retry fields, and ``sdc`` the integrity-verification
+    fields — only for requests that opted into corruption injection, so
+    fault-traced payloads carry none of them.
     """
     payload = {
         "kind": kind,
@@ -149,23 +150,22 @@ def _transfer_payload(
         "mode_used": _mode_used_payload(out.mode_used),
         "degraded": degraded,
     }
-    r = out.resilience
-    if r is None:
+    if not resilient:
         return payload
     payload.update(
         faulted=True,
-        delivered_bytes=r.delivered_bytes,
-        residue_bytes=r.residue_bytes,
-        rounds=r.telemetry.rounds,
-        retries=r.telemetry.retries,
-        complete=r.complete,
+        delivered_bytes=out.delivered_bytes,
+        residue_bytes=out.residue_bytes,
+        rounds=out.telemetry.rounds,
+        retries=out.telemetry.retries,
+        complete=out.complete,
     )
     if sdc:
         payload.update(
-            corrupt_extents_detected=r.telemetry.corrupt_extents_detected,
-            corrupt_bytes_redriven=r.telemetry.corrupt_bytes_redriven,
-            stale_drops=r.telemetry.stale_drops,
-            corrupted_acknowledged_bytes=r.corrupted_acknowledged_bytes,
+            corrupt_extents_detected=out.telemetry.corrupt_extents_detected,
+            corrupt_bytes_redriven=out.telemetry.corrupt_bytes_redriven,
+            stale_drops=out.telemetry.stale_drops,
+            corrupted_acknowledged_bytes=out.corrupted_acknowledged_bytes,
         )
     return payload
 
@@ -248,9 +248,10 @@ def run_transfer_kinds_batched(
       skipped and every fault-free scenario moves on its direct path.
     * **simulate** — one :func:`repro.core.multipath.run_transfer_many`
       pass per machine size.  Fault-traced (``fault_seed``) and
-      corruption-injected (``sdc_seed``) scenarios run through the
-      resilience executor's wave batching instead, which plans its own
-      fault-aware proxies, grouped by their effective proxy cap.
+      corruption-injected (``sdc_seed``) scenarios run through
+      :func:`repro.resilience.executor.run_resilient_transfer_many`
+      instead, which plans its own fault-aware proxies, grouped by their
+      effective proxy cap.
 
     Stage wall times land in ``stage_s`` (``plan_s``, ``simulate_s``).
     A failure raises :class:`StageError` naming its stage — or, for
@@ -259,6 +260,7 @@ def run_transfer_kinds_batched(
     ladder cap or in direct mode are marked ``degraded``.
     """
     from repro.core.multipath import run_transfer_many
+    from repro.resilience.executor import run_resilient_transfer_many
 
     stage_s = {} if stage_s is None else stage_s
     tracer = get_tracer()
@@ -324,7 +326,7 @@ def run_transfer_kinds_batched(
                 system = prepared[idxs[0]][0]
                 spec_sets = [prepared[i][1] for i in idxs]
                 if resilient:
-                    res = run_transfer_many(
+                    res = run_resilient_transfer_many(
                         system, spec_sets,
                         traces=[prepared[i][2] for i in idxs],
                         sdc=[prepared[i][3] for i in idxs],
@@ -346,6 +348,7 @@ def run_transfer_kinds_batched(
                         kind, system, out,
                         degraded=_ladder_capped(params, max_proxies_cap)
                         or (degraded and not resilient),
+                        resilient=resilient,
                         sdc=prepared[i][3] is not None,
                     )
     except SimulationCancelled:

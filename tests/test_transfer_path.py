@@ -7,23 +7,22 @@ plain, fault-traced and corruption-injected requests, with and without a
 per-request proxy cap.  Each checksum below pins one payload; a change
 to any of them is a change of behaviour.
 
-The batched resilient route of
-:func:`~repro.core.multipath.run_transfer_many` takes ``max_proxies``
-and rejects the planning options its fault-aware planner cannot honour.
+:func:`~repro.resilience.executor.run_resilient_transfer_many` hands
+``max_proxies`` to every scenario's fault-aware planner.
 """
 
 import json
 
 import pytest
 
-from repro.core.multipath import TransferSpec, run_transfer_many
+from repro.core.multipath import TransferSpec
 from repro.machine import mira_system
 from repro.machine.faults import FaultEvent, FaultTrace
 from repro.resilience import ResilientPlanner, run_resilient_transfer
+from repro.resilience.executor import run_resilient_transfer_many
 from repro.service.batch import run_batch
 from repro.service.scenarios import execute_request
 from repro.util.checksum import canonical_json, payload_checksum
-from repro.util.validation import ConfigError
 
 MiB = 1 << 20
 
@@ -82,29 +81,21 @@ def test_worker_and_batch_payloads_agree(case, batch_payloads):
 
 SYSTEM = mira_system(nnodes=128)
 SPECS = [TransferSpec(src=0, dst=127, nbytes=8 * MiB)]
-#: A fault far past the transfer's end: it routes the run through the
-#: resilience executor without touching its physics.
+#: A fault far past the transfer's end: the executor watches for it
+#: without it touching the run's physics.
 LATE_FAULT = FaultTrace((FaultEvent(link=0, factor=0.5, start=10.0),))
 
 
 def test_resilient_route_honours_max_proxies():
-    free = run_transfer_many(SYSTEM, [SPECS], traces=[LATE_FAULT])[0]
-    capped = run_transfer_many(
+    free = run_resilient_transfer_many(SYSTEM, [SPECS], traces=[LATE_FAULT])[0]
+    capped = run_resilient_transfer_many(
         SYSTEM, [SPECS], traces=[LATE_FAULT], max_proxies=3
     )[0]
     assert free.mode_used[(0, 127)] == "proxy:5"
     assert capped.mode_used[(0, 127)] == "proxy:3"
-    serial = run_resilient_transfer(
+    alone = run_resilient_transfer(
         SYSTEM, SPECS, trace=LATE_FAULT,
         planner=ResilientPlanner(SYSTEM, max_proxies=3),
     )
-    assert capped.makespan == serial.makespan
-    assert capped.mode_used == serial.mode_used
-
-
-@pytest.mark.parametrize(
-    "option", [{"mode": "direct"}, {"min_proxies": 2}, {"max_offset": 2}]
-)
-def test_resilient_route_rejects_options_it_cannot_honour(option):
-    with pytest.raises(ConfigError, match=next(iter(option))):
-        run_transfer_many(SYSTEM, [SPECS], traces=[LATE_FAULT], **option)
+    assert capped.makespan == alone.makespan
+    assert capped.mode_used == alone.mode_used
